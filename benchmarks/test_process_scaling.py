@@ -35,6 +35,7 @@ from repro.parallel import (
     ProcessConfig,
     parallel_ttmc_matricized,
 )
+from repro.parallel.process_pool import BatchJobSpec
 from repro.util.linalg import random_orthonormal
 
 RANK = 8
@@ -94,13 +95,15 @@ def _process_sweep(pool, order):
 
 
 def _make_process_pool(tensor, factors, symbolic, workers):
-    return HOOIProcessPool.for_per_mode(
-        tensor,
-        {mode: symbolic[mode] for mode in range(tensor.order)},
-        factors,
-        [RANK] * tensor.order,
-        np.float64,
-        config=ProcessConfig(num_workers=workers),
+    spec = BatchJobSpec(
+        job=None,
+        tensor=tensor,
+        symbolic={mode: symbolic[mode] for mode in range(tensor.order)},
+        factors=factors,
+        ranks=[RANK] * tensor.order,
+    )
+    return HOOIProcessPool.for_per_mode_batch(
+        [spec], np.float64, config=ProcessConfig(num_workers=workers)
     )
 
 

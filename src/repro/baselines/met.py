@@ -26,13 +26,13 @@ import numpy as np
 from repro.core.hooi import HOOIOptions, HOOIResult
 from repro.core.sparse_tensor import SparseTensor
 from repro.core.ttm import sparse_ttm_chain
-from repro.engine.backend import SequentialBackend
+from repro.engine.backend import ExecutionBackend
 from repro.engine.driver import HOOIEngine
 
 __all__ = ["met_hooi", "TTMChainBackend"]
 
 
-class TTMChainBackend(SequentialBackend):
+class TTMChainBackend(ExecutionBackend):
     """TTMc evaluated as a sparse TTM chain (the MET evaluation strategy).
 
     No symbolic preprocessing: every mode of every iteration re-derives the

@@ -30,6 +30,7 @@ __all__ = [
     "SUPPORTED_DTYPES",
     "resolve_dtype",
     "as_supported_float",
+    "check_finite_values",
     "DeltaFingerprint",
     "fingerprint_with_delta",
 ]
@@ -50,6 +51,23 @@ def as_supported_float(array) -> np.ndarray:
     if array.dtype not in SUPPORTED_DTYPES:
         array = array.astype(np.float64)
     return array
+
+
+def check_finite_values(indices: np.ndarray, values: np.ndarray) -> None:
+    """Reject NaN / ±inf values where data enters, naming the first one.
+
+    A non-finite value otherwise survives a full TTMc and surfaces deep in
+    LAPACK as ``SVD did not converge``.
+    """
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = np.flatnonzero(~finite)
+        first = int(bad[0])
+        raise ValueError(
+            f"{bad.size} non-finite value(s) (NaN or ±inf); the first is "
+            f"{values[first]} at coordinate "
+            f"{tuple(int(i) for i in indices[first])}"
+        )
 
 
 def resolve_dtype(dtype) -> np.dtype:
@@ -302,6 +320,7 @@ class SparseTensor:
                     f"index {int(maxs[bad])} out of range for mode {bad} of size "
                     f"{shape[bad]}"
                 )
+            check_finite_values(indices, values)
         self.indices = indices
         self.values = values
         self.shape: Tuple[int, ...] = shape

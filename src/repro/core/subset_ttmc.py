@@ -244,7 +244,7 @@ def edge_update_groups(
 
     ``out`` (zeroed here) covers only the requested group range, so disjoint
     ranges can be filled concurrently by different workers — the row-parallel,
-    lock-free decomposition of :mod:`repro.parallel.shared_dimtree`.
+    lock-free decomposition every dimension-tree executor shares.
     ``workspace`` supplies the per-block scratch buffers and must be ``None``
     when called from concurrent workers (the pool is not thread-safe).
     """

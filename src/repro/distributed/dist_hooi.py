@@ -26,7 +26,7 @@ agree, and packages the results.
 **Hybrid ranks** (the paper's headline configuration, Table V on top of
 Algorithm 4): each rank's local TTMc phase runs through the same
 rank-scoped backend composition the single-node drivers use
-(:func:`repro.engine.dimtree.resolve_ttmc_backend`), so
+(:func:`repro.engine.backend.resolve_ttmc_backend`), so
 ``HOOIOptions(execution="thread", num_workers=T)`` nests a ``T``-thread
 worker team inside every simulated rank (the row-disjoint lock-free
 decomposition of :mod:`repro.parallel.shared_ttmc` over the rank's update
@@ -190,7 +190,7 @@ class DistributedBackend(ExecutionBackend):
         return [np.array(f, copy=True) for f in self._initial_factors]
 
     def prepare(self, eng) -> None:
-        from repro.engine.dimtree import resolve_ttmc_backend
+        from repro.engine.backend import resolve_ttmc_backend
 
         # Fail fast when the backend is driven directly (the driver already
         # checks before launching the SPMD world).

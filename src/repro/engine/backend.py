@@ -1,4 +1,4 @@
-"""Execution backends for the unified HOOI engine.
+"""Execution backends for the unified HOOI engine: TTMc plans × executors.
 
 The engine (:mod:`repro.engine.driver`) owns the *iteration state machine* —
 init, symbolic reuse, the per-mode sweep, core formation, fit tracking and
@@ -22,19 +22,29 @@ Call order per run::
         form_core -> on_iteration_end ]* -> (fit/convergence in the engine)
     -> finalize   (always, success or failure)
 
-Three backends live here: :class:`SequentialBackend` (the paper's Algorithm
-1/3 without ``parfor``), :class:`ThreadedBackend` (Algorithm 3: parallel
-symbolic, row-parallel lock-free numeric TTMc on threads) and
-:class:`ProcessBackend` (the same decomposition on worker *processes* with
-zero-copy shared memory — true multicore, GIL-free).  The distributed
-per-rank backend lives in :mod:`repro.distributed.dist_hooi` next to the
-plan/exchange machinery it drives, and the baselines provide TTM-chain (MET)
-and dense (Gram) backends — all drivers share this one loop.
+The TTMc is the paper's one parallel idea (Algorithm 3): the output rows
+are chunked and every chunk is written by exactly one worker, without
+locks.  Each of the three *plans* here says what to compute — its
+``prepare`` and its row-disjoint chunk body, defined once:
+
+* :class:`COOPlan` — per-mode TTMc over COO update lists, chunks of ``J_n``;
+* :class:`CSFPlan` — per-mode TTMc over CSF trees, root-fiber slabs;
+* :class:`DimTreePlan` — memoized dimension-tree chains, edge fiber ranges.
+
+Each takes one *executor* saying where the chunks run (see
+:class:`ExecutionBackend`): inline, a thread team, or a worker-process pool
+(owned, or a serving generation borrowed by job key).
+:func:`resolve_ttmc_backend` looks both up from :class:`HOOIOptions`.  The
+distributed per-rank backend lives in :mod:`repro.distributed.dist_hooi`
+next to the plan/exchange machinery it drives, and the baselines provide
+TTM-chain (MET) and dense (Gram) backends — all drivers share this one loop.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -49,12 +59,12 @@ from repro.core.kron import kron_row_length
 
 __all__ = [
     "ExecutionBackend",
-    "SequentialBackend",
-    "ThreadedBackend",
-    "ProcessBackend",
-    "CSFBackend",
-    "ThreadedCSFBackend",
-    "ProcessCSFBackend",
+    "COOPlan",
+    "CSFPlan",
+    "DimTreePlan",
+    "BorrowedPool",
+    "ttmc_plan",
+    "resolve_ttmc_backend",
     "engine_kernel",
     "trsvd_kwargs",
     "parallel_symbolic",
@@ -152,22 +162,81 @@ def parallel_symbolic(tensor: SparseTensor, num_threads: int) -> Dict[int, ModeS
         return {mode: fut.result() for mode, fut in futures.items()}
 
 
+def _ttmc_width(eng, mode: int) -> int:
+    """Column count ``∏_{t≠mode} R_t`` of the engine's ``Y_(mode)``."""
+    return kron_row_length(
+        [eng.factors[t].shape[1] for t in range(eng.order) if t != mode]
+    )
+
+
+@dataclass(frozen=True)
+class BorrowedPool:
+    """A pool generation lent to one member job — serving's batch executor.
+
+    ``spec`` is the :class:`~repro.parallel.process_pool.BatchJobSpec` the
+    generation packed for the job.  The backend replays its tensor, initial
+    factors and plan operands into the engine, so the engine state matches
+    what the workers attached; it addresses the pool by ``spec.job`` and
+    never closes it — the generation outlives every member.
+    """
+
+    pool: object
+    spec: object
+
+
 class ExecutionBackend:
     """How one HOOI engine run executes its heavy steps.
 
-    The base class implements the sequential single-process behaviour; the
-    engine is usable with it directly (``SequentialBackend`` only adds the
-    name).  Subclasses override the pieces they execute differently and may
-    use the no-op iteration/mode hooks to maintain clocks or communication
-    statistics.
+    The base class holds what every backend shares — the dtype policy, the
+    initial factors, the TRSVD factor update and the core GEMM — plus the
+    executor plumbing of the three TTMc plans.  ``executor`` says where a
+    plan's chunks run:
+
+    * ``None`` — inline: each mode is one whole-mode kernel call;
+    * a :class:`~repro.parallel.parallel_for.ParallelConfig` — a thread team;
+    * a :class:`~repro.parallel.process_pool.ProcessConfig` — a process pool
+      the backend owns (built in ``prepare``, closed in ``finalize``);
+    * a :class:`BorrowedPool` — a serving generation addressed by job key.
+
+    A team or pool of one worker is the inline executor.  After each TRSVD
+    the refreshed factor is written to the pool's shared segment, if any.
+    Backends outside the plan family (the distributed rank driver, the MET
+    and dense baselines) override the hooks they execute differently.
     """
 
-    name = "sequential"
+    name = "custom"
+    executor = None
+    pool = None
+    job = None
+
+    def __init__(self, executor=None) -> None:
+        workers = getattr(executor, "num_threads", None) or getattr(
+            executor, "num_workers", None
+        )
+        # The one place a team or pool of one worker resolves to inline.
+        self.executor = None if workers == 1 else executor
+        self.workers = workers or 1
+
+    @property
+    def team(self):
+        """The thread team's :class:`ParallelConfig` (``None`` otherwise)."""
+        return self.executor if hasattr(self.executor, "num_threads") else None
+
+    def _lent(self):
+        """The borrowed generation's spec for this job (``None`` otherwise)."""
+        if isinstance(self.executor, BorrowedPool):
+            return self.executor.spec
+        return None
 
     # -- setup ----------------------------------------------------------- #
     def prepare_tensor(self, eng) -> None:
         """Apply the engine's dtype policy to the input tensor."""
-        if isinstance(eng.tensor, SparseTensor):
+        lent = self._lent()
+        if lent is not None:
+            # The dtype policy was applied when the arena was packed; hand
+            # the engine the exact tensor the workers attached.
+            eng.tensor = lent.tensor
+        elif isinstance(eng.tensor, SparseTensor):
             eng.tensor = eng.tensor.astype(eng.dtype)
 
     def tensor_norm(self, eng) -> float:
@@ -176,15 +245,45 @@ class ExecutionBackend:
 
     def initial_factors(self, eng) -> List[np.ndarray]:
         """Produce the initial factor matrices (cast to dtype by the engine)."""
+        lent = self._lent()
+        if lent is not None:
+            return list(lent.factors)
         return initialize_factors(
             eng.tensor, eng.ranks, init=eng.options.init, seed=eng.options.seed
         )
 
     def prepare(self, eng) -> None:
-        """Build per-run reusable state (the symbolic TTMc data)."""
-        self.symbolic = {
-            mode: symbolic_ttmc(eng.tensor, mode) for mode in range(eng.order)
-        }
+        """Build per-run reusable state (symbolic data, trees, pools)."""
+
+    def _open_pool(self, eng, **layout) -> None:
+        """Join the executor's worker pool once the plan's operands exist.
+
+        An owned pool packs the run as the one unkeyed job of a batch
+        generation (``layout`` is the plan's arena layout: ``symbolic``
+        update lists or CSF ``trees``); a borrowed one is addressed by the
+        job key the batch runner packed it under.
+        """
+        from repro.parallel.process_pool import (
+            BatchJobSpec,
+            HOOIProcessPool,
+            ProcessConfig,
+        )
+
+        if isinstance(self.executor, BorrowedPool):
+            self.pool, self.job = self.executor.pool, self.executor.spec.job
+        elif isinstance(self.executor, ProcessConfig):
+            spec = BatchJobSpec(
+                job=None,
+                tensor=eng.tensor,
+                factors=eng.factors,
+                ranks=eng.ranks,
+                block_nnz=eng.options.block_nnz,
+                kernel=engine_kernel(eng),
+                **layout,
+            )
+            self.pool = HOOIProcessPool.for_per_mode_batch(
+                [spec], eng.dtype, config=self.executor
+            )
 
     # -- the three heavy steps ------------------------------------------- #
     def _pooled_out(self, eng, mode: int) -> np.ndarray:
@@ -197,11 +296,9 @@ class ExecutionBackend:
         per-run set of primed buffers lives on the engine
         (``eng._primed_ttmc_out``), which :meth:`HOOIEngine.run` resets.
         """
-        width = kron_row_length(
-            [eng.factors[t].shape[1] for t in range(eng.order) if t != mode]
-        )
         buffer = eng.workspace.take(
-            (eng.tensor.shape[mode], width), eng.dtype, tag=f"ttmc-out-{mode}"
+            (eng.tensor.shape[mode], _ttmc_width(eng, mode)), eng.dtype,
+            tag=f"ttmc-out-{mode}",
         )
         primed = getattr(eng, "_primed_ttmc_out", None)
         if primed is None:
@@ -213,44 +310,21 @@ class ExecutionBackend:
         return buffer
 
     def compute_ttmc(self, eng, mode: int) -> np.ndarray:
-        """Numeric TTMc of ``mode`` into a pooled ``(I_n, ∏R_t)`` buffer."""
-        return ttmc_matricized(
-            eng.tensor,
-            eng.factors,
-            mode,
-            symbolic=self.symbolic[mode],
-            block_nnz=eng.options.block_nnz,
-            out=self._pooled_out(eng, mode),
-            workspace=eng.workspace,
-            # _pooled_out guarantees rows outside J_n are zero, so only the
-            # touched rows need clearing between sweeps.
-            zero="touched",
-            kernel=engine_kernel(eng),
-        )
+        """Numeric TTMc of ``mode`` as a full ``(I_n, ∏R_t)`` matrix."""
+        raise NotImplementedError
 
     def compute_ttmc_rows(self, eng, mode: int, rows: np.ndarray) -> np.ndarray:
         """Compact TTMc block: ``Y_(mode)`` restricted to the given rows.
 
-        ``rows`` is a sorted array of global mode-``mode`` indices, each a
-        non-empty row of the engine's tensor (``rows ⊆ J_mode``); the result
-        has shape ``(len(rows), ∏_{t≠mode} R_t)`` with row ``p`` holding
-        ``Y_(mode)(rows[p], :)``.  This is the rank-scoped seam the
-        distributed driver composes with: each simulated MPI rank computes
-        only its owned/local rows through whatever execution model and TTMc
-        strategy the options select, reusing this backend over the rank's
-        local tensor.
+        ``rows`` is a sorted array of global mode-``mode`` indices; the
+        result has shape ``(len(rows), ∏_{t≠mode} R_t)`` with row ``p``
+        holding ``Y_(mode)(rows[p], :)`` (zero for a row without local
+        nonzeros).  This is the rank-scoped seam the distributed driver
+        composes with: each simulated MPI rank computes only its owned/local
+        rows through whatever plan and executor the options select, reusing
+        the backend over the rank's local tensor.
         """
-        from repro.parallel.shared_ttmc import ttmc_row_block
-
-        return ttmc_row_block(
-            eng.tensor,
-            eng.factors,
-            mode,
-            self.symbolic[mode],
-            symbolic_row_positions(self.symbolic[mode], rows),
-            block_nnz=eng.options.block_nnz,
-            kernel=engine_kernel(eng),
-        )
+        raise NotImplementedError
 
     def update_factor(
         self, eng, mode: int, y_mat: np.ndarray
@@ -262,10 +336,14 @@ class ExecutionBackend:
             method=eng.options.trsvd_method,
             **trsvd_kwargs(eng.options),
         )
-        return np.asarray(result.left, dtype=eng.dtype), result
+        new_factor = np.asarray(result.left, dtype=eng.dtype)
+        if self.pool is not None:
+            self.pool.write_factor(mode, new_factor, job=self.job)
+        self.notify_factor_updated(eng, mode)
+        return new_factor, result
 
     def notify_factor_updated(self, eng, mode: int) -> None:
-        """A factor was replaced *outside* :meth:`update_factor`.
+        """A factor was replaced.
 
         Backends caching state derived from the factors (the dimension
         tree's memoized partial chains) invalidate it here.  The distributed
@@ -292,36 +370,53 @@ class ExecutionBackend:
         pass
 
     def finalize(self, eng) -> None:
-        """Release per-run resources (called exactly once, success or not)."""
-        pass
+        """Release per-run resources (called exactly once, success or not).
+
+        An owned pool is closed here; a borrowed generation is left to the
+        batch runner that built it.
+        """
+        pool, self.pool = self.pool, None
+        if pool is not None and self._lent() is None:
+            pool.close()
 
 
-class SequentialBackend(ExecutionBackend):
-    """Single-threaded execution — the reference everything is validated against."""
+class COOPlan(ExecutionBackend):
+    """Per-mode TTMc over COO update lists — the paper's Algorithms 1 and 3.
 
-    name = "sequential"
-
-
-class ThreadedBackend(ExecutionBackend):
-    """Shared-memory execution (the paper's Algorithm 3).
-
-    The symbolic step runs one task per mode; the numeric TTMc distributes
-    the non-empty rows ``J_n`` over worker threads with the configured
-    schedule (lock-free: each row is written by exactly one worker).  The
-    TRSVD and core GEMM are BLAS-parallel as in the sequential backend.
+    ``prepare`` builds every mode's symbolic data, one task per mode
+    (Algorithm 3 lines 1-2); a chunk is a range of the non-empty rows
+    ``J_n`` (:func:`~repro.parallel.shared_ttmc.ttmc_row_chunk`).  Inline,
+    a mode is one :func:`~repro.core.ttmc.ttmc_matricized` call — the
+    sequential oracle every composition is validated against.
     """
 
-    name = "threaded"
-
-    def __init__(self, config=None) -> None:
-        from repro.parallel.parallel_for import ParallelConfig
-
-        self.config = config or ParallelConfig()
+    name = "coo"
 
     def prepare(self, eng) -> None:
-        self.symbolic = parallel_symbolic(eng.tensor, self.config.num_threads)
+        lent = self._lent()
+        self.symbolic = (
+            lent.symbolic if lent is not None
+            else parallel_symbolic(eng.tensor, self.workers)
+        )
+        self._open_pool(eng, symbolic=self.symbolic)
 
     def compute_ttmc(self, eng, mode: int) -> np.ndarray:
+        if self.pool is not None:
+            return self.pool.ttmc(mode, job=self.job)
+        if self.team is None:
+            return ttmc_matricized(
+                eng.tensor,
+                eng.factors,
+                mode,
+                symbolic=self.symbolic[mode],
+                block_nnz=eng.options.block_nnz,
+                out=self._pooled_out(eng, mode),
+                workspace=eng.workspace,
+                # _pooled_out guarantees rows outside J_n are zero, so only
+                # the touched rows need clearing between sweeps.
+                zero="touched",
+                kernel=engine_kernel(eng),
+            )
         from repro.parallel.shared_ttmc import parallel_ttmc_matricized
 
         return parallel_ttmc_matricized(
@@ -329,7 +424,7 @@ class ThreadedBackend(ExecutionBackend):
             eng.factors,
             mode,
             symbolic=self.symbolic[mode],
-            config=self.config,
+            config=self.team,
             block_nnz=eng.options.block_nnz,
             out=self._pooled_out(eng, mode),
             # Every J_n row is assigned and _pooled_out keeps the rest zero,
@@ -339,34 +434,56 @@ class ThreadedBackend(ExecutionBackend):
         )
 
     def compute_ttmc_rows(self, eng, mode: int, rows: np.ndarray) -> np.ndarray:
-        from repro.parallel.shared_ttmc import parallel_ttmc_row_block
+        """Compact TTMc block; ``rows`` must be non-empty rows (``⊆ J_mode``)."""
+        from repro.parallel.parallel_for import parallel_for
+        from repro.parallel.shared_ttmc import ttmc_row_block, ttmc_row_chunk
 
-        return parallel_ttmc_row_block(
-            eng.tensor,
-            eng.factors,
-            mode,
-            self.symbolic[mode],
-            symbolic_row_positions(self.symbolic[mode], rows),
-            config=self.config,
-            block_nnz=eng.options.block_nnz,
-            kernel=engine_kernel(eng),
+        symbolic = self.symbolic[mode]
+        positions = symbolic_row_positions(symbolic, rows)
+        if self.team is None:
+            return ttmc_row_block(
+                eng.tensor,
+                eng.factors,
+                mode,
+                symbolic,
+                positions,
+                block_nnz=eng.options.block_nnz,
+                kernel=engine_kernel(eng),
+            )
+        out = np.zeros((positions.shape[0], _ttmc_width(eng, mode)), eng.dtype)
+        parallel_for(
+            partial(
+                ttmc_row_chunk, eng.tensor, eng.factors, mode, symbolic, out,
+                positions=positions, block_nnz=eng.options.block_nnz,
+                kernel=engine_kernel(eng),
+            ),
+            positions.shape[0],
+            self.team,
         )
+        return out
 
 
-class CSFBackend(SequentialBackend):
-    """Sequential execution over Compressed Sparse Fiber storage.
+class CSFPlan(ExecutionBackend):
+    """Per-mode TTMc over Compressed Sparse Fiber trees.
 
     ``prepare`` compresses the engine's tensor into CSF trees
     (:class:`repro.sparse.csf.CSFTensorSet`) instead of building per-mode
-    update lists; ``compute_ttmc`` then serves each mode's ``Y_(n)`` as a
-    fiber-segment sweep (:func:`repro.sparse.csf_ttmc.csf_ttmc_matricized`)
-    — factor rows gathered once per merged fiber, partial products reduced
-    over fiber extents with ``np.add.reduceat``.  ``trees`` selects the
-    layout policy: ``"per-mode"`` (default) builds one tree rooted at every
-    mode, the fastest configuration at ``order``× the index memory;
-    ``"shared"`` builds a single shortest-mode-first tree reused for every
-    mode — minimal memory, with deep target modes served by the slower
-    pushdown/pullup pass.
+    update lists.  Inline, each mode's ``Y_(n)`` is one fiber-segment sweep
+    (:func:`repro.sparse.csf_ttmc.csf_ttmc_matricized`) — factor rows
+    gathered once per merged fiber, partial products reduced over fiber
+    extents.  A chunk is a *root-fiber slab*
+    (:func:`~repro.sparse.csf_ttmc.csf_slab_chunk`): its subtree is a
+    contiguous node range at every level and its output rows are exactly
+    its root fibers, so slabs of a tree rooted at its target mode never
+    share a ``Y_(n)`` row — the paper's lock-free row decomposition applied
+    to fibers.
+
+    ``trees`` selects the layout policy: ``"per-mode"`` (default) builds one
+    tree rooted at every mode, the fastest configuration at ``order``× the
+    index memory; ``"shared"`` builds a single shortest-mode-first tree
+    reused for every mode — minimal memory, with deep target modes served by
+    the slower pushdown/pullup pass, and inline only (slabs need rooted
+    trees).
     """
 
     name = "csf"
@@ -374,47 +491,72 @@ class CSFBackend(SequentialBackend):
     #: Tree layout policies ``__init__`` accepts.
     TREE_POLICIES = ("per-mode", "shared")
 
-    def __init__(self, trees: str = "per-mode", *, tensors=None) -> None:
+    def __init__(self, executor=None, *, trees: str = "per-mode",
+                 tensors=None) -> None:
+        super().__init__(executor)
         if trees not in self.TREE_POLICIES:
             raise ValueError(
                 f"unknown CSF tree policy {trees!r}: expected one of "
                 f"{self.TREE_POLICIES}"
             )
+        if trees == "shared" and self.executor is not None:
+            raise ValueError(
+                "root-fiber slabs partition the output rows only when every "
+                "tree is rooted at its target mode; a thread or process "
+                "executor needs trees='per-mode'"
+            )
         self.trees = trees
         # A pre-built CSFTensorSet (e.g. memory-mapped trees loaded by the
         # out-of-core driver) skips the per-run compression in ``prepare``.
-        self._preset_tensors = tensors
-        self.tensors = tensors
+        self._preset_tensors = self.tensors = tensors
 
     def prepare(self, eng) -> None:
         from repro.sparse import CSFTensorSet
 
-        if self._preset_tensors is not None:
+        lent = self._lent()
+        if lent is not None:
+            self.tensors = lent.trees
+        elif self._preset_tensors is not None:
             self.tensors = self._preset_tensors
         elif self.trees == "per-mode":
-            config = self._ttmc_config()
             self.tensors = CSFTensorSet.per_mode(
-                eng.tensor,
-                num_threads=config.num_threads if config is not None else 1,
+                eng.tensor, num_threads=self.workers
             )
         else:
             self.tensors = CSFTensorSet.shared_tree(eng.tensor)
+        self._open_pool(eng, symbolic=None, trees=self.tensors)
 
-    def _ttmc_config(self):
-        """Thread configuration for the fiber sweeps (None = inline)."""
-        return None
+    def _slabs(self, eng, tree, out: np.ndarray, compact: bool = False) -> None:
+        """Run every root-fiber slab of ``tree`` on the thread team."""
+        from repro.parallel.parallel_for import parallel_for
+        from repro.sparse.csf_ttmc import csf_slab_chunk
+
+        parallel_for(
+            partial(
+                csf_slab_chunk, tree, eng.factors, out,
+                compact=compact, kernel=engine_kernel(eng),
+            ),
+            tree.num_fibers(0),
+            self.team,
+        )
 
     def compute_ttmc(self, eng, mode: int) -> np.ndarray:
+        if self.pool is not None:
+            return self.pool.ttmc(mode, job=self.job)
+        tree = self.tensors.tree_for(mode)
+        # Every J_n row is assigned and _pooled_out keeps the rest zero.
+        out = self._pooled_out(eng, mode)
+        if self.team is not None:
+            self._slabs(eng, tree, out)
+            return out
         from repro.sparse import csf_ttmc_matricized
 
         return csf_ttmc_matricized(
-            self.tensors.tree_for(mode),
+            tree,
             eng.factors,
             mode,
-            out=self._pooled_out(eng, mode),
+            out=out,
             workspace=eng.workspace,
-            config=self._ttmc_config(),
-            # Every J_n row is assigned and _pooled_out keeps the rest zero.
             zero="none",
             kernel=engine_kernel(eng),
         )
@@ -427,17 +569,24 @@ class CSFBackend(SequentialBackend):
         rows without local nonzeros come back zero, mirroring the dimension
         tree's ``local_rows`` contract.
         """
-        from repro.sparse import csf_ttmc_compact
-
         tree = self.tensors.tree_for(mode)
-        all_rows, block = csf_ttmc_compact(
-            tree,
-            eng.factors,
-            mode,
-            workspace=eng.workspace,
-            config=self._ttmc_config(),
-            kernel=engine_kernel(eng),
-        )
+        if self.team is not None:
+            all_rows = tree.fids[0]
+            block = eng.workspace.take(
+                (all_rows.shape[0], _ttmc_width(eng, mode)), eng.dtype,
+                tag=f"csf-compact-{mode}",
+            )
+            self._slabs(eng, tree, block, compact=True)
+        else:
+            from repro.sparse import csf_ttmc_compact
+
+            all_rows, block = csf_ttmc_compact(
+                tree,
+                eng.factors,
+                mode,
+                workspace=eng.workspace,
+                kernel=engine_kernel(eng),
+            )
         rows = np.asarray(rows, dtype=np.int64)
         # The gather destination is pooled like the sweep's own buffers, so
         # steady-state rank-local sweeps stop allocating entirely.
@@ -448,153 +597,111 @@ class CSFBackend(SequentialBackend):
         return gather_present_rows(all_rows, block, rows, out)
 
 
-class ThreadedCSFBackend(CSFBackend):
-    """Shared-memory execution over CSF storage.
+class DimTreePlan(ExecutionBackend):
+    """Dimension-tree TTMc: memoized partial chains over a binary mode tree.
 
-    The numeric sweep distributes contiguous *root-fiber slabs* over worker
-    threads with the configured ``make_chunks`` schedule.  A slab's subtree
-    is a contiguous node range at every level and its output rows are
-    exactly its root fibers, so — with the per-mode rooted trees this
-    backend always builds — no two workers ever write the same ``Y_(n)``
-    row: the paper's lock-free row decomposition, applied to fibers.
+    ``prepare`` builds a :class:`~repro.engine.dimtree.DimensionTree` in
+    place of the per-mode symbolic step — over the CSF fiber hierarchy
+    (contiguous, gather-free edge updates) when ``tensor_format="csf"``,
+    per-edge lexsorts otherwise; both serve identical ``Y_(n)``.  Each
+    TRSVD bumps the refreshed factor's version so stale partial chains are
+    recomputed on their next use.  A chunk is a range of one stale edge's
+    child fibers (:func:`~repro.core.subset_ttmc.edge_update_groups`); with
+    a process executor the groupings and node payloads live in shared
+    memory while the driver keeps the version counters and decides which
+    edges are stale.
     """
 
-    name = "threaded-csf"
-
-    def __init__(self, config=None) -> None:
-        from repro.parallel.parallel_for import ParallelConfig
-
-        # Root-fiber slabs partition the output rows only when every tree
-        # is rooted at its target mode, so the policy is fixed.
-        super().__init__(trees="per-mode")
-        self.config = config or ParallelConfig()
-
-    def _ttmc_config(self):
-        return self.config
-
-
-class ProcessCSFBackend(CSFBackend):
-    """True-multicore execution over Compressed Sparse Fiber storage.
-
-    The driver builds the per-mode rooted trees once (thread-overlapped,
-    like the per-mode symbolic step), serializes their level arrays into a
-    shared arena (:meth:`~repro.parallel.process_pool.HOOIProcessPool.for_csf`),
-    and dispatches every TTMc as contiguous root-fiber slabs to the worker
-    pool — a slab's output rows are exactly its unique, sorted root fibers,
-    so workers write lock-free just as in the COO row decomposition.
-    Refreshed factors are broadcast by writing their shared segment,
-    mirroring :class:`ProcessBackend`.
-
-    ``num_workers <= 1`` degenerates to the sequential CSF backend: no
-    worker processes are spawned and no shared memory is allocated.
-    """
-
-    name = "process-csf"
-
-    def __init__(self, config=None) -> None:
-        from repro.parallel.process_pool import ProcessConfig
-
-        # Root-fiber slabs partition the output rows only when every tree
-        # is rooted at its target mode, so the policy is fixed (the same
-        # constraint as the threaded CSF backend).
-        super().__init__(trees="per-mode")
-        self.config = config or ProcessConfig()
-        self.pool = None
+    name = "dimtree"
+    tree = None
 
     def prepare(self, eng) -> None:
-        from repro.sparse import CSFTensorSet
+        from repro.engine.dimtree import DimensionTree
+        from repro.parallel.process_pool import HOOIProcessPool, ProcessConfig
 
-        self.tensors = CSFTensorSet.per_mode(
-            eng.tensor, num_threads=self.config.num_workers
+        fmt = getattr(eng.options, "tensor_format", "coo") or "coo"
+        self.tree = DimensionTree(
+            eng.tensor, source="csf" if fmt == "csf" else "coo"
         )
-        if self.config.num_workers <= 1:
-            return
-        from repro.parallel.process_pool import HOOIProcessPool
+        if isinstance(self.executor, ProcessConfig):
+            self.pool = HOOIProcessPool.for_dimtree(
+                self.tree,
+                eng.tensor,
+                eng.factors,
+                eng.ranks,
+                eng.dtype,
+                config=self.executor,
+                block_nnz=eng.options.block_nnz,
+            )
 
-        self.pool = HOOIProcessPool.for_csf(
-            self.tensors,
-            eng.tensor,
+    def _leaf(self, eng, mode: int, **kwargs) -> np.ndarray:
+        return self.tree.leaf_matricized(
+            mode,
             eng.factors,
-            eng.ranks,
-            eng.dtype,
-            config=self.config,
+            dtype=eng.dtype,
+            workspace=eng.workspace,
             block_nnz=eng.options.block_nnz,
-            kernel=engine_kernel(eng),
+            executor=self.pool if self.pool is not None else self.team,
+            **kwargs,
         )
 
     def compute_ttmc(self, eng, mode: int) -> np.ndarray:
-        if self.pool is None:
-            return super().compute_ttmc(eng, mode)
-        return self.pool.ttmc(mode)
+        # _pooled_out keeps rows outside the leaf fibers zero and the leaf
+        # rows are assigned, so no zeroing pass is needed.
+        return self._leaf(eng, mode, out=self._pooled_out(eng, mode), zero="none")
 
-    def update_factor(self, eng, mode: int, y_mat: np.ndarray):
-        new_factor, stats = super().update_factor(eng, mode, y_mat)
-        if self.pool is not None:
-            self.pool.write_factor(mode, new_factor)
-        return new_factor, stats
+    def compute_ttmc_rows(self, eng, mode: int, rows: np.ndarray) -> np.ndarray:
+        """Serve a compact row block from the rank-local dimension tree."""
+        return self._leaf(eng, mode, local_rows=np.asarray(rows, dtype=np.int64))
 
-    def finalize(self, eng) -> None:
-        if self.pool is not None:
-            self.pool.close()
-            self.pool = None
+    def notify_factor_updated(self, eng, mode: int) -> None:
+        if self.tree is not None:
+            self.tree.invalidate_factor(mode)
 
 
-class ProcessBackend(SequentialBackend):
-    """True-multicore execution: worker processes + zero-copy shared memory.
+def ttmc_plan(options) -> type:
+    """The TTMc plan ``ttmc_strategy`` and ``tensor_format`` select."""
+    if (options.ttmc_strategy or "per-mode") == "dimtree":
+        return DimTreePlan
+    fmt = getattr(options, "tensor_format", "coo") or "coo"
+    return CSFPlan if fmt == "csf" else COOPlan
 
-    The decomposition is exactly the paper's Algorithm 3 — the non-empty
-    rows ``J_n`` are chunked with an OpenMP-like schedule and each chunk is
-    one lock-free task — but tasks run on a persistent pool of worker
-    *processes* (:class:`~repro.parallel.process_pool.HOOIProcessPool`), so
-    the hot gather/Kronecker/segment-sum work escapes the GIL and really
-    uses multiple cores.  The tensor, symbolic structures, factors and the
-    ``Y_(n)`` buffers live in ``multiprocessing.shared_memory`` segments
-    that workers attach once at pool startup; only tiny ``(mode, row_chunk)``
-    descriptors cross process boundaries, and refreshed factors are
-    broadcast by writing their shared segment after each TRSVD.
 
-    ``num_workers <= 1`` degenerates to the sequential backend: no worker
-    processes are spawned and no shared memory is allocated.
+def resolve_ttmc_backend(options, config=None) -> ExecutionBackend:
+    """The backend :class:`HOOIOptions` imply: a plan × an executor lookup.
+
+    The plan comes from ``ttmc_strategy`` / ``tensor_format``
+    (:func:`ttmc_plan`); the executor from ``execution`` / ``num_workers``:
+    ``"sequential"`` runs inline, ``"thread"`` a team of ``num_workers``
+    threads, ``"process"`` an owned pool of ``num_workers`` worker
+    processes.  ``config`` (a
+    :class:`~repro.parallel.parallel_for.ParallelConfig`) comes from the
+    threaded driver: it is the thread team, or — under
+    ``execution="process"`` — lends the pool its schedule (and its size
+    when ``num_workers`` is unset).  The ``kernel`` axis needs no routing:
+    every plan reads ``options.kernel`` per TTMc call
+    (:func:`engine_kernel`), and the ``validate`` call here rejects
+    unavailable or non-composing tiers *before* any backend is built.
+    Option values and composition are checked by
+    :meth:`~repro.core.hooi.HOOIOptions.validate` (single-node context —
+    the distributed driver applies its stricter composition rules before
+    resolving its rank-local backends).
     """
+    from repro.parallel.parallel_for import ParallelConfig
+    from repro.parallel.process_pool import ProcessConfig
 
-    name = "process"
-
-    def __init__(self, config=None) -> None:
-        from repro.parallel.process_pool import ProcessConfig
-
-        self.config = config or ProcessConfig()
-        self.pool = None
-
-    def prepare(self, eng) -> None:
-        if self.config.num_workers <= 1:
-            super().prepare(eng)
-            return
-        from repro.parallel.process_pool import HOOIProcessPool
-
-        self.symbolic = parallel_symbolic(eng.tensor, self.config.num_workers)
-        self.pool = HOOIProcessPool.for_per_mode(
-            eng.tensor,
-            self.symbolic,
-            eng.factors,
-            eng.ranks,
-            eng.dtype,
-            config=self.config,
-            block_nnz=eng.options.block_nnz,
-            kernel=engine_kernel(eng),
-        )
-
-    def compute_ttmc(self, eng, mode: int) -> np.ndarray:
-        if self.pool is None:
-            return super().compute_ttmc(eng, mode)
-        return self.pool.ttmc(mode)
-
-    def update_factor(self, eng, mode: int, y_mat: np.ndarray):
-        new_factor, stats = super().update_factor(eng, mode, y_mat)
-        if self.pool is not None:
-            self.pool.write_factor(mode, new_factor)
-        return new_factor, stats
-
-    def finalize(self, eng) -> None:
-        if self.pool is not None:
-            self.pool.close()
-            self.pool = None
+    options.validate()
+    workers = int(options.num_workers or 1)
+    executor = config
+    if options.execution == "process":
+        if config is None:
+            executor = ProcessConfig(num_workers=workers)
+        else:
+            executor = ProcessConfig(
+                num_workers=workers if workers > 1 else config.num_threads,
+                schedule=config.schedule,
+                chunk_size=config.chunk_size,
+            )
+    elif options.execution == "thread" and config is None:
+        executor = ParallelConfig(num_threads=workers)
+    return ttmc_plan(options)(executor)

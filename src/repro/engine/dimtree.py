@@ -55,7 +55,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.hooi import HOOIOptions
 from repro.core.kron import kron_dtype, kron_row_length
 from repro.core.sparse_tensor import SparseTensor
 from repro.core.subset_ttmc import (
@@ -65,25 +64,10 @@ from repro.core.subset_ttmc import (
     group_fibers_presorted,
     subset_widths,
 )
-from repro.engine.backend import (
-    CSFBackend,
-    ProcessBackend,
-    ProcessCSFBackend,
-    SequentialBackend,
-    ThreadedBackend,
-    ThreadedCSFBackend,
-    gather_present_rows,
-)
+from repro.engine.backend import gather_present_rows
 from repro.util.validation import check_axis
 
-__all__ = [
-    "DimTreeNode",
-    "DimensionTree",
-    "DimTreeBackend",
-    "ThreadedDimTreeBackend",
-    "ProcessDimTreeBackend",
-    "resolve_ttmc_backend",
-]
+__all__ = ["DimTreeNode", "DimensionTree"]
 
 _TREE_IDS = _instance_counter()
 
@@ -321,8 +305,7 @@ class DimensionTree:
         out: Optional[np.ndarray] = None,
         workspace=None,
         block_nnz: Optional[int] = None,
-        parallel_config=None,
-        edge_executor=None,
+        executor=None,
         zero: str = "full",
         local_rows: Optional[np.ndarray] = None,
     ) -> np.ndarray:
@@ -331,16 +314,16 @@ class DimensionTree:
         Matches :func:`repro.core.ttmc.ttmc_matricized` in shape, column
         order and dtype promotion.  ``factors[mode]`` is never multiplied and
         may be ``None``.  ``workspace`` supplies the node payload and scratch
-        buffers; ``parallel_config`` (a
-        :class:`~repro.parallel.parallel_for.ParallelConfig`) switches the
-        edge updates to the row-parallel lock-free path; ``edge_executor``
-        (``executor(node) -> payload``) delegates both the payload buffer
-        and the numeric refinement of a stale non-root node to an external
-        engine — the process backend routes edges to its worker pool this
-        way.  ``zero`` controls how much of a caller-provided ``out`` is
-        cleared (``"full"``/``"touched"``/``"none"``); the leaf rows are
-        *assigned*, so ``"none"`` is sufficient when the caller keeps the
-        empty rows zero (the engine's per-mode pooled buffers do).
+        buffers.  ``executor`` says where a stale edge's fiber chunks run:
+        ``None`` inline, a :class:`~repro.parallel.parallel_for.ParallelConfig`
+        on a thread team (lock-free: each child fiber row has one writer), or
+        a :class:`~repro.parallel.process_pool.HOOIProcessPool` built by
+        ``for_dimtree``, which owns the shared payload buffers and refines
+        them on its worker processes.  ``zero`` controls how much of a
+        caller-provided ``out`` is cleared (``"full"``/``"touched"``/
+        ``"none"``); the leaf rows are *assigned*, so ``"none"`` is
+        sufficient when the caller keeps the empty rows zero (the engine's
+        per-mode pooled buffers do).
 
         ``local_rows`` is the distributed driver's hook: a sorted array of
         global mode-``mode`` indices restricting the result to a compact
@@ -379,9 +362,7 @@ class DimensionTree:
         for node in path:
             self._ensure_fresh(
                 node, factors, ranks, dtype,
-                workspace=workspace, block_nnz=block_nnz,
-                parallel_config=parallel_config,
-                edge_executor=edge_executor,
+                workspace=workspace, block_nnz=block_nnz, executor=executor,
             )
         leaf = path[-1]
 
@@ -441,8 +422,7 @@ class DimensionTree:
         *,
         workspace,
         block_nnz,
-        parallel_config,
-        edge_executor=None,
+        executor,
     ) -> None:
         if node is self.root:
             if node.payload is None or node.cache_dtype != dtype:
@@ -468,14 +448,14 @@ class DimensionTree:
             [f.shape[1] for f in sibling_factors]
         )
         shape = (node.num_fibers, child_width)
-        if edge_executor is not None:
-            # External engine (the process pool): it owns the payload buffer
-            # and performs the refinement — typically fiber-parallel on
-            # worker processes against shared-memory views of this tree.
-            payload = edge_executor(node)
+        if hasattr(executor, "dimtree_edge"):
+            # A process pool owns the payload buffer and performs the
+            # refinement, fiber-parallel on its workers against
+            # shared-memory views of this tree.
+            payload = executor.dimtree_edge(node.node_id)
             if payload.shape != shape or payload.dtype != dtype:
                 raise ValueError(
-                    f"edge executor returned a {payload.shape}/{payload.dtype} "
+                    f"the pool returned a {payload.shape}/{payload.dtype} "
                     f"payload for node {node.node_id}, expected {shape}/{dtype}"
                 )
         else:
@@ -486,36 +466,22 @@ class DimensionTree:
             else:
                 payload = np.empty(shape, dtype=dtype)
 
-            if parallel_config is not None and parallel_config.num_threads > 1:
-                from repro.parallel.shared_dimtree import parallel_edge_update
-
-                parallel_edge_update(
-                    node.grouping,
-                    parent.payload,
-                    parent.index_cols,
-                    node.sibling_cols,
-                    sibling_factors,
-                    lo_width,
-                    hi_width,
-                    payload,
-                    parallel_config,
-                    block_nnz=block_nnz,
-                )
-            else:
+            def chunk(start: int, stop: int, workspace=None) -> None:
                 edge_update_groups(
-                    node.grouping,
-                    0,
-                    node.num_fibers,
-                    parent.payload,
-                    parent.index_cols,
-                    node.sibling_cols,
-                    sibling_factors,
-                    lo_width,
-                    hi_width,
-                    payload,
-                    block_nnz=block_nnz,
-                    workspace=workspace,
+                    node.grouping, start, stop,
+                    parent.payload, parent.index_cols, node.sibling_cols,
+                    sibling_factors, lo_width, hi_width, payload[start:stop],
+                    block_nnz=block_nnz, workspace=workspace,
                 )
+
+            if executor is None:
+                chunk(0, node.num_fibers, workspace)
+            else:
+                from repro.parallel.parallel_for import parallel_for
+
+                # Thread workers allocate their scratch privately: the
+                # workspace pool is not thread-safe.
+                parallel_for(chunk, node.num_fibers, executor)
         node.payload = payload
         node.cache_dtype = dtype
         node.cache_ranks = sig
@@ -523,230 +489,3 @@ class DimensionTree:
             self._versions[m] for m in node.multiplied_modes
         )
         self.edge_updates += 1
-
-
-class DimTreeBackend(SequentialBackend):
-    """Sequential execution with dimension-tree TTMc evaluation.
-
-    Identical to :class:`~repro.engine.backend.SequentialBackend` except that
-    ``compute_ttmc`` is served from a :class:`DimensionTree` (built in
-    ``prepare``, replacing the per-mode symbolic step) and ``update_factor``
-    additionally bumps the refreshed factor's version so stale partial chains
-    are recomputed on their next use.
-
-    ``tensor_format`` decides the tree's symbolic source: ``"csf"`` builds
-    the groupings over the CSF fiber hierarchy (contiguous, gather-free edge
-    updates), ``"coo"`` keeps the per-edge lexsorts.  Both serve identical
-    ``Y_(n)``, so the format axis composes with this strategy — and with its
-    threaded and process subclasses — without any further routing.
-    """
-
-    name = "dimtree"
-
-    def __init__(self) -> None:
-        self.tree: Optional[DimensionTree] = None
-
-    def _tree_source(self, eng) -> str:
-        fmt = getattr(eng.options, "tensor_format", "coo") or "coo"
-        return "csf" if fmt == "csf" else "coo"
-
-    def prepare(self, eng) -> None:
-        self.tree = DimensionTree(eng.tensor, source=self._tree_source(eng))
-
-    def _edge_parallel_config(self):
-        """Thread configuration for stale-edge refinements (None = inline)."""
-        return None
-
-    def compute_ttmc(self, eng, mode: int) -> np.ndarray:
-        return self.tree.leaf_matricized(
-            mode,
-            eng.factors,
-            dtype=eng.dtype,
-            out=self._pooled_out(eng, mode),
-            workspace=eng.workspace,
-            block_nnz=eng.options.block_nnz,
-            # _pooled_out keeps rows outside the leaf fibers zero and the
-            # leaf rows are assigned, so no zeroing pass is needed.
-            zero="none",
-        )
-
-    def compute_ttmc_rows(self, eng, mode: int, rows: np.ndarray) -> np.ndarray:
-        """Serve a compact row block from the rank-local dimension tree."""
-        return self.tree.leaf_matricized(
-            mode,
-            eng.factors,
-            dtype=eng.dtype,
-            workspace=eng.workspace,
-            block_nnz=eng.options.block_nnz,
-            parallel_config=self._edge_parallel_config(),
-            local_rows=np.asarray(rows, dtype=np.int64),
-        )
-
-    def update_factor(self, eng, mode: int, y_mat: np.ndarray):
-        new_factor, stats = super().update_factor(eng, mode, y_mat)
-        self.notify_factor_updated(eng, mode)
-        return new_factor, stats
-
-    def notify_factor_updated(self, eng, mode: int) -> None:
-        if self.tree is not None:
-            self.tree.invalidate_factor(mode)
-
-
-class ThreadedDimTreeBackend(DimTreeBackend):
-    """Shared-memory execution with dimension-tree TTMc evaluation.
-
-    The numeric refinement of each tree edge distributes contiguous ranges
-    of the child's fibers over worker threads
-    (:func:`repro.parallel.shared_dimtree.parallel_edge_update`) — lock-free,
-    since each fiber row is written by exactly one worker, mirroring the
-    per-mode row decomposition of Algorithm 3.
-    """
-
-    name = "threaded-dimtree"
-
-    def __init__(self, config=None) -> None:
-        from repro.parallel.parallel_for import ParallelConfig
-
-        super().__init__()
-        self.config = config or ParallelConfig()
-
-    def _edge_parallel_config(self):
-        return self.config
-
-    def compute_ttmc(self, eng, mode: int) -> np.ndarray:
-        return self.tree.leaf_matricized(
-            mode,
-            eng.factors,
-            dtype=eng.dtype,
-            out=self._pooled_out(eng, mode),
-            workspace=eng.workspace,
-            block_nnz=eng.options.block_nnz,
-            parallel_config=self.config,
-            zero="none",
-        )
-
-
-class ProcessDimTreeBackend(DimTreeBackend):
-    """True-multicore execution with dimension-tree TTMc evaluation.
-
-    The driver keeps the symbolic tree and its version counters (so it knows
-    exactly which partial chains a factor refresh made stale), while every
-    numeric edge refinement is dispatched as fiber-range chunks to the
-    persistent worker pool.  The tree's fiber groupings and all node
-    payloads live in shared memory, so workers read the parent payload and
-    write their disjoint slice of the child payload with zero copies; the
-    driver scatters the finished leaf payload into its pooled ``Y_(n)``.
-
-    ``num_workers <= 1`` degenerates to the sequential dimension-tree
-    backend (no processes, no shared memory).
-    """
-
-    name = "process-dimtree"
-
-    def __init__(self, config=None) -> None:
-        from repro.parallel.process_pool import ProcessConfig
-
-        super().__init__()
-        self.config = config or ProcessConfig()
-        self.pool = None
-
-    def prepare(self, eng) -> None:
-        super().prepare(eng)
-        if self.config.num_workers <= 1:
-            return
-        from repro.parallel.process_pool import HOOIProcessPool
-
-        self.pool = HOOIProcessPool.for_dimtree(
-            self.tree,
-            eng.tensor,
-            eng.factors,
-            eng.ranks,
-            eng.dtype,
-            config=self.config,
-            block_nnz=eng.options.block_nnz,
-        )
-
-    def _edge_executor(self, node: DimTreeNode) -> np.ndarray:
-        return self.pool.dimtree_edge(node.node_id)
-
-    def compute_ttmc(self, eng, mode: int) -> np.ndarray:
-        if self.pool is None:
-            return super().compute_ttmc(eng, mode)
-        return self.tree.leaf_matricized(
-            mode,
-            eng.factors,
-            dtype=eng.dtype,
-            out=self._pooled_out(eng, mode),
-            workspace=eng.workspace,
-            block_nnz=eng.options.block_nnz,
-            edge_executor=self._edge_executor,
-            zero="none",
-        )
-
-    def update_factor(self, eng, mode: int, y_mat: np.ndarray):
-        new_factor, stats = super().update_factor(eng, mode, y_mat)
-        if self.pool is not None:
-            self.pool.write_factor(mode, new_factor)
-        return new_factor, stats
-
-    def finalize(self, eng) -> None:
-        if self.pool is not None:
-            self.pool.close()
-            self.pool = None
-
-
-def resolve_ttmc_backend(options, config=None):
-    """Backend implied by ``ttmc_strategy``, ``execution`` and ``tensor_format``.
-
-    ``config`` (a :class:`~repro.parallel.parallel_for.ParallelConfig`)
-    comes from the threaded driver and selects the thread-parallel variants;
-    without it, ``options.execution`` decides: ``"sequential"`` (default),
-    ``"thread"`` (``options.num_workers`` threads) or ``"process"``
-    (``options.num_workers`` worker processes with zero-copy shared memory).
-    The two remaining axes compose orthogonally: ``ttmc_strategy="dimtree"``
-    always routes to a dimension-tree backend (whose tree reads
-    ``tensor_format`` to pick its symbolic source — CSF fiber hierarchy or
-    per-edge lexsorts), while ``tensor_format="csf"`` with the per-mode
-    strategy routes to the fiber-tree backends
-    (:class:`~repro.engine.backend.CSFBackend` /
-    :class:`~repro.engine.backend.ThreadedCSFBackend` /
-    :class:`~repro.engine.backend.ProcessCSFBackend` by execution model).
-    The ``kernel`` axis needs no routing of its own: every resolved backend
-    reads ``options.kernel`` per TTMc call
-    (:func:`~repro.engine.backend.engine_kernel`), and the ``validate`` call
-    here rejects unavailable or non-composing tiers *before* any backend is
-    built — a ``kernel="numba"`` request without numba fails at resolution,
-    not mid-sweep.  Option values and composition are checked by
-    :meth:`~repro.core.hooi.HOOIOptions.validate` (single-node context —
-    the distributed driver applies its stricter composition rules before
-    resolving its rank-local backends).
-    """
-    options.validate()
-    strategy = options.ttmc_strategy or "per-mode"
-    execution = options.execution or "sequential"
-    tensor_format = getattr(options, "tensor_format", "coo") or "coo"
-    num_workers = int(options.num_workers or 1)
-    if execution == "process":
-        from repro.parallel.process_pool import ProcessConfig
-
-        if num_workers <= 1 and config is not None:
-            num_workers = config.num_threads
-        pconfig = ProcessConfig(
-            num_workers=num_workers,
-            schedule=config.schedule if config is not None else "dynamic",
-            chunk_size=config.chunk_size if config is not None else None,
-        )
-        if strategy == "dimtree":
-            return ProcessDimTreeBackend(pconfig)
-        if tensor_format == "csf":
-            return ProcessCSFBackend(pconfig)
-        return ProcessBackend(pconfig)
-    if execution == "thread" and config is None:
-        from repro.parallel.parallel_for import ParallelConfig
-
-        config = ParallelConfig(num_threads=num_workers)
-    if strategy == "dimtree":
-        return DimTreeBackend() if config is None else ThreadedDimTreeBackend(config)
-    if tensor_format == "csf":
-        return CSFBackend() if config is None else ThreadedCSFBackend(config)
-    return SequentialBackend() if config is None else ThreadedBackend(config)

@@ -38,7 +38,7 @@ from repro.core.hooi import HOOIOptions, HOOIResult
 from repro.core.sparse_tensor import resolve_dtype
 from repro.core.trsvd import TRSVDResult
 from repro.core.tucker import TuckerTensor
-from repro.engine.backend import ExecutionBackend, SequentialBackend
+from repro.engine.backend import COOPlan, ExecutionBackend
 from repro.engine.workspace import WorkspacePool
 from repro.util.timing import TimingBreakdown
 from repro.util.validation import check_rank_vector
@@ -80,7 +80,7 @@ class HOOIEngine:
         workspace: Optional[WorkspacePool] = None,
     ) -> None:
         self.options = options or HOOIOptions()
-        self.backend = backend or SequentialBackend()
+        self.backend = backend or COOPlan()
         self.dtype = resolve_dtype(self.options.dtype)
         self.tensor = tensor
         self.shape = tuple(int(s) for s in tensor.shape)

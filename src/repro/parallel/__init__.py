@@ -8,7 +8,6 @@ multicore execution of the same row-parallel decomposition).
 """
 
 from repro.parallel.parallel_for import ChunkSchedule, ParallelConfig, make_chunks, parallel_for
-from repro.parallel.shared_dimtree import parallel_edge_update
 from repro.parallel.shared_ttmc import parallel_ttmc_matricized, ttmc_row_block
 from repro.parallel.shm import ShmArena, ShmArraySpec, ShmView
 from repro.parallel.process_pool import (
@@ -31,7 +30,6 @@ __all__ = [
     "ParallelConfig",
     "make_chunks",
     "parallel_for",
-    "parallel_edge_update",
     "parallel_ttmc_matricized",
     "ttmc_row_block",
     "ShmArena",

@@ -1,22 +1,24 @@
 """Persistent multiprocess worker pool for true-multicore HOOI.
 
-The threaded backend decomposes the TTMc exactly as the paper's Algorithm 3,
+The thread executor decomposes the TTMc exactly as the paper's Algorithm 3,
 but CPython's GIL serializes the hot gather / ``batch_kron_rows`` /
 ``np.add.reduceat`` work, so threads measure *decomposition*, not speedup.
-This module provides the same row-parallel, lock-free execution on worker
-*processes* with zero-copy shared memory:
+This module is the process executor of the three TTMc plans
+(:mod:`repro.engine.backend`): the same row-disjoint chunks, run on worker
+*processes* over zero-copy shared memory.
 
 * All big operands live in a :class:`~repro.parallel.shm.ShmArena` — the
-  tensor's ``indices``/``values``, every mode's symbolic update lists (or the
-  dimension tree's fiber groupings, or the CSF trees' per-level
-  ``fids``/``fptr`` arrays), the factor matrices, and the ``Y_(n)`` output
-  buffers (or tree-node payloads).  Workers attach views once at pool
-  startup and reuse them across every mode and iteration.
-* Numeric work is dispatched as tiny ``(mode, row_chunk)`` /
-  ``(node, fiber_chunk)`` descriptors over the same static/dynamic/guided
-  :func:`~repro.parallel.parallel_for.make_chunks` schedules the threaded
-  backend uses.  Each chunk's rows are written by exactly one worker into a
-  row-disjoint slice of the shared output — no locks, and no result pickling.
+  plan's operands (the COO tensor plus every mode's symbolic update lists,
+  the CSF trees' per-level ``fids``/``fptr`` arrays, or the dimension
+  tree's fiber groupings), the factor matrices, and the ``Y_(n)`` output
+  buffers (or tree-node payloads).  Workers attach views once per
+  generation and reuse them across every mode and iteration.
+* Numeric work is dispatched as tiny ``(task_id, job, item, start, stop)``
+  descriptors over the same static/dynamic/guided
+  :func:`~repro.parallel.parallel_for.make_chunks` schedules the thread
+  executor uses.  Each job's program on the worker knows its plan's chunk
+  body, and each chunk writes a row-disjoint slice of the shared output —
+  no locks, and no result pickling.
 * Factor refreshes are *broadcast by memory*: after each TRSVD the driver
   writes the new ``U_n`` into its shared segment (:meth:`write_factor`); the
   queue hand-off of the next task batch orders the write before any read, so
@@ -24,10 +26,12 @@ This module provides the same row-parallel, lock-free execution on worker
   driver's version counters decide which nodes went stale; workers stay
   stateless and simply execute the edge chunks they are handed.
 
-The pool is bound to one engine run (fixed tensor, ranks and dtype) and must
-be closed with :meth:`close` — idempotent, crash-safe (the arena unlinks its
-segments even on abnormal teardown), and automatically invoked by the
-engine's ``finalize`` hook.
+Workers have one lifecycle, :class:`PersistentWorkerCrew`.  A pool either
+borrows a caller's crew (serving: attach on construction, detach on close)
+or spawns a private crew and closes it with the pool (a one-shot run,
+closed by the engine's ``finalize`` hook).  :meth:`HOOIProcessPool.close`
+is idempotent and crash-safe — the arena unlinks its segments even on
+abnormal teardown.
 """
 
 from __future__ import annotations
@@ -42,12 +46,16 @@ import multiprocessing as mp
 
 import numpy as np
 
-from repro.core.symbolic import ModeSymbolic
-from repro.core.subset_ttmc import FiberGrouping, edge_update_groups, subset_widths
 from repro.core.kron import kron_row_length
+from repro.core.sparse_tensor import SparseTensor
+from repro.core.subset_ttmc import FiberGrouping, edge_update_groups, subset_widths
+from repro.core.symbolic import ModeSymbolic
 from repro.parallel.parallel_for import make_chunks
+from repro.parallel.shared_ttmc import ttmc_row_chunk
 from repro.parallel.shm import ShmArena, ShmView
 from repro.resilience.faults import maybe_fail
+from repro.sparse.csf import CSFTensor
+from repro.sparse.csf_ttmc import csf_slab_chunk
 
 __all__ = [
     "ProcessConfig",
@@ -101,36 +109,32 @@ class WorkerCrashError(RuntimeError):
 # Worker side
 # --------------------------------------------------------------------------- #
 class _JobProgram:
-    """One job's views of the shared operands (``prefix`` namespaces a batch).
+    """One job's views of the shared operands and the chunk body they feed.
 
-    A single-job pool builds exactly one program with an empty prefix; a
-    batched generation (:meth:`HOOIProcessPool.for_per_mode_batch`) builds
-    one program per member job, each reading its own ``<job>:``-prefixed
-    segments of the shared arena.
+    ``prefix`` namespaces the job's segments inside a batched arena (empty
+    for the unkeyed job of a one-job pool).  The body is the plan's own
+    row-disjoint chunk function — :func:`~repro.parallel.shared_ttmc.ttmc_row_chunk`
+    over COO update lists, :func:`~repro.sparse.csf_ttmc.csf_slab_chunk`
+    over rooted CSF trees, or :func:`~repro.core.subset_ttmc.edge_update_groups`
+    over dimension-tree edges — so :meth:`run` executes exactly what a
+    thread team runs for the same ``(item, start, stop)`` chunk.
     """
 
-    def __init__(self, view: ShmView, meta: dict, prefix: str = "") -> None:
-        self.view = view
-        self.prefix = prefix
-        self.shape = tuple(meta["shape"])
-        self.dtype = np.dtype(meta["dtype"])
-        self.block_nnz = meta["block_nnz"]
+    def __init__(self, view: ShmView, meta: dict, prefix: str) -> None:
+        shape = tuple(meta["shape"])
+        order = len(shape)
+        block_nnz = meta["block_nnz"]
         # Workers JIT-compile lazily on first task (numba's cache=True makes
         # every worker after the first a disk-cache hit).
-        self.kernel = meta.get("kernel", "numpy")
-        order = len(self.shape)
-        self.factors: List[np.ndarray] = [
-            view[f"{prefix}factor{n}"] for n in range(order)
-        ]
-        self.strategy = meta["strategy"]
-        if self.strategy == "per-mode":
-            from repro.core.sparse_tensor import SparseTensor
-
-            self.tensor = SparseTensor(
-                view[f"{prefix}indices"], view[f"{prefix}values"],
-                self.shape, copy=False,
+        kernel = meta.get("kernel", "numpy")
+        factors = [view[f"{prefix}factor{n}"] for n in range(order)]
+        strategy = meta["strategy"]
+        if strategy == "per-mode":
+            tensor = SparseTensor(
+                view[f"{prefix}indices"], view[f"{prefix}values"], shape,
+                copy=False,
             )
-            self.symbolic: Dict[int, ModeSymbolic] = {
+            symbolic = {
                 n: ModeSymbolic(
                     mode=n,
                     rows=view[f"{prefix}sym-rows{n}"],
@@ -139,210 +143,129 @@ class _JobProgram:
                 )
                 for n in range(order)
             }
-            self.outs: Dict[int, np.ndarray] = {
-                n: view[f"{prefix}out{n}"] for n in range(order)
-            }
-        elif self.strategy == "csf":
-            from repro.sparse.csf import CSFTensor
 
+            def run(mode: int, start: int, stop: int) -> None:
+                ttmc_row_chunk(
+                    tensor, factors, mode, symbolic[mode],
+                    view[f"{prefix}out{mode}"], start, stop,
+                    block_nnz=block_nnz, kernel=kernel,
+                )
+        elif strategy == "csf":
             # One rooted tree per mode, rebuilt over zero-copy views of the
             # driver's serialized level arrays — no re-sort on attach.
-            self.csf_trees: Dict[int, CSFTensor] = {}
-            for entry in meta["csf"]:
-                n = int(entry["mode"])
-                self.csf_trees[n] = CSFTensor.from_arrays(
-                    self.shape,
-                    entry["mode_order"],
+            trees = {
+                n: CSFTensor.from_arrays(
+                    shape,
+                    mode_order,
                     [view[f"{prefix}csf{n}-fids{lvl}"] for lvl in range(order)],
-                    [
-                        view[f"{prefix}csf{n}-fptr{lvl}"]
-                        for lvl in range(order - 1)
-                    ],
+                    [view[f"{prefix}csf{n}-fptr{lvl}"] for lvl in range(order - 1)],
                     view[f"{prefix}csf{n}-values"],
                 )
-            self.outs = {n: view[f"{prefix}out{n}"] for n in range(order)}
-        elif self.strategy == "dimtree":
-            root_id = meta["root_id"]
-            self.edges: Dict[int, dict] = {e["node"]: e for e in meta["edges"]}
-            self.groupings: Dict[int, FiberGrouping] = {
+                for n, mode_order in enumerate(meta["csf"])
+            }
+
+            def run(mode: int, start: int, stop: int) -> None:
+                csf_slab_chunk(
+                    trees[mode], factors, view[f"{prefix}out{mode}"],
+                    start, stop, kernel=kernel,
+                )
+        else:
+            edges = {e["node"]: e for e in meta["edges"]}
+            groupings = {
                 nid: FiberGrouping(
                     indices=view[f"grp-idx{nid}"],
                     perm=view[f"grp-perm{nid}"],
                     segptr=view[f"grp-segptr{nid}"],
-                    contiguous=bool(edge.get("contiguous", False)),
+                    contiguous=edge["contiguous"],
                 )
-                for nid, edge in self.edges.items()
+                for nid, edge in edges.items()
             }
-            self.payloads: Dict[int, np.ndarray] = {root_id: view[f"payload{root_id}"]}
-            self.index_cols: Dict[int, np.ndarray] = {root_id: view["indices"]}
-            for nid, grouping in self.groupings.items():
-                self.payloads[nid] = view[f"payload{nid}"]
-                self.index_cols[nid] = grouping.indices
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"unknown job strategy {self.strategy!r}")
+            index_cols = {meta["root_id"]: view["indices"]}
+            index_cols.update({nid: g.indices for nid, g in groupings.items()})
 
-    def ttmc_rows(self, mode: int, start: int, stop: int) -> None:
-        """Compute rows ``start:stop`` of ``J_mode`` into the shared output."""
-        from repro.parallel.shared_ttmc import ttmc_row_block
-
-        symbolic = self.symbolic[mode]
-        block = ttmc_row_block(
-            self.tensor,
-            self.factors,
-            mode,
-            symbolic,
-            np.arange(start, stop, dtype=np.int64),
-            block_nnz=self.block_nnz,
-            kernel=self.kernel,
-        )
-        self.outs[mode][symbolic.rows[start:stop]] = block
-
-    def csf_slab(self, mode: int, start: int, stop: int) -> None:
-        """Pull up root-fiber slab ``[start, stop)`` of one rooted tree.
-
-        The same body the threaded CSF backend runs per slab
-        (:func:`repro.sparse.csf_ttmc.csf_ttmc_compact`): a pure pullup over
-        the slab's contiguous node ranges, column-permuted into engine
-        layout, assigned to the slab's (unique, sorted) root-fiber rows of
-        the shared output — row-disjoint across slabs, so no locks.
-        """
-        from repro.kernels import kernel_table
-        from repro.sparse.csf_ttmc import (
-            _level_ranges,
-            _pullup,
-            _to_engine_columns,
-        )
-
-        csf = self.csf_trees[mode]
-        factor_arrays = [
-            None if t == mode else self.factors[t]
-            for t in range(len(self.shape))
-        ]
-        table = kernel_table(self.kernel)
-        slab = _pullup(
-            csf, factor_arrays, self.dtype, 0,
-            _level_ranges(csf, start, stop), None, table,
-        )
-        block = _to_engine_columns(slab, csf, factor_arrays, 0)
-        self.outs[mode][csf.fids[0][start:stop]] = block
-
-    def edge_groups(self, node_id: int, start: int, stop: int) -> None:
-        """Refine fiber groups ``start:stop`` of one dimension-tree edge."""
-        edge = self.edges[node_id]
-        edge_update_groups(
-            self.groupings[node_id],
-            start,
-            stop,
-            self.payloads[edge["parent"]],
-            self.index_cols[edge["parent"]],
-            edge["sibling_cols"],
-            [self.factors[m] for m in edge["sibling_modes"]],
-            edge["lo_width"],
-            edge["hi_width"],
-            self.payloads[node_id][start:stop],
-            block_nnz=self.block_nnz,
-        )
+            def run(node_id: int, start: int, stop: int) -> None:
+                edge = edges[node_id]
+                edge_update_groups(
+                    groupings[node_id], start, stop,
+                    view[f"payload{edge['parent']}"],
+                    index_cols[edge["parent"]],
+                    edge["sibling_cols"],
+                    [factors[m] for m in edge["sibling_modes"]],
+                    edge["lo_width"], edge["hi_width"],
+                    view[f"payload{node_id}"][start:stop],
+                    block_nnz=block_nnz,
+                )
+        self.run = run
 
 
-class _WorkerState:
-    """Per-worker dispatch over the generation's job programs.
+def _generation_loop(worker_id: int, programs: dict, task_q, done_q) -> None:
+    """Serve ``(task_id, job, item, start, stop)`` chunks for one generation.
 
-    A plain (single-job) generation holds exactly one program under the key
-    ``None``; a batched generation holds one program per member job, keyed
-    by the job's id.  Chunk descriptors carry the job key, so the shared
-    work queue serves every member of the generation uniformly.
+    ``programs`` maps each job key (``None`` for the unkeyed job of a
+    one-job pool) to its :class:`_JobProgram`.  Returns when the detach
+    sentinel ``None`` arrives.
     """
-
-    def __init__(self, view: ShmView, meta: dict) -> None:
-        self.view = view
-        if meta["strategy"] == "batch":
-            self.programs: Dict[Optional[str], _JobProgram] = {
-                job["job"]: _JobProgram(view, job, prefix=f"{job['job']}:")
-                for job in meta["jobs"]
-            }
-        else:
-            self.programs = {None: _JobProgram(view, meta)}
-
-    def close(self) -> None:
-        self.view.close()
-
-
-def _generation_loop(worker_id: int, state: _WorkerState, task_q, done_q) -> None:
-    """Drain chunk descriptors for one attached generation.
-
-    Returns (with the views closed) when the sentinel ``None`` arrives —
-    the end of the generation for a persistent worker, the end of life for
-    a single-generation worker.
-    """
-    try:
-        while True:
-            task = task_q.get()
-            if task is None:
-                return
-            kind, task_id, job = task[0], task[1], task[2]
-            try:
-                program = state.programs[job]
-                if kind == "ttmc":
-                    program.ttmc_rows(task[3], task[4], task[5])
-                elif kind == "csf":
-                    program.csf_slab(task[3], task[4], task[5])
-                elif kind == "edge":
-                    program.edge_groups(task[3], task[4], task[5])
-                else:
-                    raise ValueError(f"unknown task kind {kind!r}")
-                error = None
-            except BaseException as exc:
-                error = f"{type(exc).__name__}: {exc}"
-            # Fault point "worker.ack": firing here (action="exit") kills the
-            # worker after it did the work but before the driver hears back —
-            # the scripted equivalent of a mid-task SIGKILL.
-            maybe_fail("worker.ack")
-            done_q.put((task_id, worker_id, error))
-    finally:
-        state.close()
-
-
-def _worker_main(worker_id: int, specs, meta, task_q, done_q, ctrl_q=None) -> None:
-    """Worker entry point.
-
-    Without ``ctrl_q`` (a pool-owned worker) the worker attaches the given
-    arena once, serves exactly one generation and exits — the original
-    single-run protocol.  With ``ctrl_q`` (a :class:`PersistentWorkerCrew`
-    worker) the process is long-lived: it blocks on its private control
-    queue for ``("__attach__", specs, meta)`` commands, serves the
-    generation until the shared work queue delivers the detach sentinel,
-    acks ``"__detached__"``, and loops — amortizing process spawn and
-    interpreter/NumPy import across every job a service ever runs.
-    """
-    if ctrl_q is None:
-        try:
-            state = _WorkerState(ShmView(specs), meta)
-        except BaseException as exc:
-            done_q.put(("__ready__", worker_id, f"{type(exc).__name__}: {exc}"))
+    while True:
+        task = task_q.get()
+        if task is None:
             return
-        done_q.put(("__ready__", worker_id, None))
-        _generation_loop(worker_id, state, task_q, done_q)
-        return
+        task_id, job, item, start, stop = task
+        try:
+            programs[job].run(item, start, stop)
+            error = None
+        except BaseException as exc:
+            error = f"{type(exc).__name__}: {exc}"
+        # Fault point "worker.ack": firing here (action="exit") kills the
+        # worker after it did the work but before the driver hears back —
+        # the scripted equivalent of a mid-task SIGKILL.
+        maybe_fail("worker.ack")
+        done_q.put((task_id, worker_id, error))
+
+
+def _worker_main(worker_id: int, task_q, done_q, ctrl_q) -> None:
+    """Crew worker entry point.
+
+    The process is long-lived: it blocks on its private control queue for
+    ``("__attach__", specs, meta)`` commands, serves the generation until
+    the shared work queue delivers the detach sentinel, acks
+    ``"__detached__"``, and loops — amortizing process spawn and
+    interpreter/NumPy import across every generation it serves.
+    """
     while True:
         command = ctrl_q.get()
         if command is None or command[0] == "__stop__":
             return
         if command[0] != "__attach__":  # pragma: no cover - defensive
             continue
-        _, gen_specs, gen_meta = command
+        _, specs, meta = command
+        view = None
         try:
-            state = _WorkerState(ShmView(gen_specs), gen_meta)
+            view = ShmView(specs)
+            programs = {
+                job["job"]: _JobProgram(view, job, _prefix(job["job"]))
+                for job in meta["jobs"]
+            }
         except BaseException as exc:
+            if view is not None:
+                view.close()
             done_q.put(("__ready__", worker_id, f"{type(exc).__name__}: {exc}"))
             continue
         done_q.put(("__ready__", worker_id, None))
-        _generation_loop(worker_id, state, task_q, done_q)
+        try:
+            _generation_loop(worker_id, programs, task_q, done_q)
+        finally:
+            view.close()
         done_q.put(("__detached__", worker_id, None))
 
 
 # --------------------------------------------------------------------------- #
 # Driver side
 # --------------------------------------------------------------------------- #
+def _prefix(job: Optional[str]) -> str:
+    """Arena namespace of a job key (``None`` is the unprefixed job)."""
+    return "" if job is None else f"{job}:"
+
+
 def _resolve_config(config, crew) -> ProcessConfig:
     """The pool config, defaulted (and size-checked later) against a crew."""
     if config is not None:
@@ -370,122 +293,71 @@ def _validate_per_mode_ranks(tensor, ranks: Sequence[int]) -> List[int]:
     return widths
 
 
-def _put_per_mode_job(
-    arena: ShmArena,
-    tensor,
-    symbolic: Dict[int, ModeSymbolic],
-    factors: Sequence[np.ndarray],
-    ranks: Sequence[int],
-    dtype,
-    *,
-    block_nnz: Optional[int],
-    kernel: str,
-    prefix: str,
-) -> dict:
-    """Place one per-mode job's operands into the arena; return its meta.
+def _put_job(arena: ShmArena, spec: "BatchJobSpec", dtype) -> Tuple[dict, Dict]:
+    """Place one batch member's operands into the arena.
 
-    ``prefix`` namespaces the segment keys (empty for a single-job pool,
-    ``"<job>:"`` for batch members), matching what :class:`_JobProgram`
-    reads back on the worker side.
+    Returns the member's meta (what :class:`_JobProgram` reads back) and
+    its chunkable item counts keyed ``(job, mode)``: ``|J_n|`` rows for a
+    COO member, root fibers for a CSF member.
     """
-    dtype = np.dtype(dtype)
-    ranks = [int(r) for r in ranks]
+    tensor, prefix = spec.tensor, _prefix(spec.job)
+    ranks = [int(r) for r in spec.ranks]
     widths = _validate_per_mode_ranks(tensor, ranks)
-    order = tensor.order
-    arena.put(f"{prefix}indices", tensor.indices)
-    arena.put(f"{prefix}values", np.asarray(tensor.values, dtype=dtype))
-    for n in range(order):
-        arena.put(f"{prefix}factor{n}", np.asarray(factors[n], dtype=dtype))
-        sym = symbolic[n]
-        arena.put(f"{prefix}sym-rows{n}", sym.rows)
-        arena.put(f"{prefix}sym-perm{n}", sym.perm)
-        arena.put(f"{prefix}sym-rowptr{n}", sym.rowptr)
-        arena.zeros(f"{prefix}out{n}", (tensor.shape[n], widths[n]), dtype)
-    return {
-        "strategy": "per-mode",
-        "shape": tuple(int(s) for s in tensor.shape),
-        "ranks": tuple(ranks),
-        "dtype": dtype.str,
-        "block_nnz": block_nnz,
-        "kernel": kernel,
-    }
-
-
-def _put_csf_job(
-    arena: ShmArena,
-    trees,
-    tensor,
-    factors: Sequence[np.ndarray],
-    ranks: Sequence[int],
-    dtype,
-    *,
-    block_nnz: Optional[int],
-    kernel: str,
-    prefix: str,
-) -> Tuple[dict, Dict[int, int]]:
-    """Place one CSF job's rooted trees into the arena; return (meta, roots).
-
-    ``trees`` is a :class:`~repro.sparse.csf.CSFTensorSet` with one tree
-    rooted at every mode (the lock-free layout: a root-fiber slab's output
-    rows are exactly its unique, sorted root fibers).  Each tree's per-level
-    ``fids``/``fptr`` arrays and its lexicographically sorted values are
-    serialized once; workers rebuild zero-copy trees from the views.
-    ``roots`` maps each mode to its root-fiber count — the quantity slab
-    chunks are scheduled over.
-    """
-    dtype = np.dtype(dtype)
-    ranks = [int(r) for r in ranks]
-    widths = _validate_per_mode_ranks(tensor, ranks)
-    order = tensor.order
-    entries: List[dict] = []
-    roots: Dict[int, int] = {}
-    for n in range(order):
-        csf = trees.tree_for(n)
-        if csf.level_of(n) != 0:
-            raise ValueError(
-                f"the process pool needs a tree rooted at its target mode, "
-                f"but mode {n}'s tree is rooted at mode {csf.mode_order[0]}; "
-                "build the set with CSFTensorSet.per_mode"
-            )
-        for lvl in range(order):
-            arena.put(f"{prefix}csf{n}-fids{lvl}", csf.fids[lvl])
-        for lvl in range(order - 1):
-            arena.put(f"{prefix}csf{n}-fptr{lvl}", csf.fptr[lvl])
-        arena.put(f"{prefix}csf{n}-values", np.asarray(csf.values, dtype=dtype))
-        arena.zeros(f"{prefix}out{n}", (tensor.shape[n], widths[n]), dtype)
-        entries.append(
-            {"mode": n, "mode_order": tuple(int(m) for m in csf.mode_order)}
-        )
-        roots[n] = csf.num_fibers(0)
-    for n in range(order):
-        arena.put(f"{prefix}factor{n}", np.asarray(factors[n], dtype=dtype))
     meta = {
-        "strategy": "csf",
+        "job": spec.job,
         "shape": tuple(int(s) for s in tensor.shape),
-        "ranks": tuple(ranks),
-        "dtype": dtype.str,
-        "block_nnz": block_nnz,
-        "kernel": kernel,
-        "csf": entries,
+        "block_nnz": spec.block_nnz,
+        "kernel": spec.kernel,
     }
-    return meta, roots
+    items: Dict = {}
+    if spec.trees is not None:
+        meta["strategy"], meta["csf"] = "csf", []
+        for n in range(tensor.order):
+            csf = spec.trees.tree_for(n)
+            if csf.level_of(n) != 0:
+                raise ValueError(
+                    f"the process pool needs a tree rooted at its target "
+                    f"mode, but mode {n}'s tree is rooted at mode "
+                    f"{csf.mode_order[0]}; build the set with "
+                    "CSFTensorSet.per_mode"
+                )
+            for lvl in range(tensor.order):
+                arena.put(f"{prefix}csf{n}-fids{lvl}", csf.fids[lvl])
+            for lvl in range(tensor.order - 1):
+                arena.put(f"{prefix}csf{n}-fptr{lvl}", csf.fptr[lvl])
+            arena.put(f"{prefix}csf{n}-values", np.asarray(csf.values, dtype=dtype))
+            meta["csf"].append(tuple(int(m) for m in csf.mode_order))
+            items[(spec.job, n)] = csf.num_fibers(0)
+    else:
+        meta["strategy"] = "per-mode"
+        arena.put(f"{prefix}indices", tensor.indices)
+        arena.put(f"{prefix}values", np.asarray(tensor.values, dtype=dtype))
+        for n in range(tensor.order):
+            sym = spec.symbolic[n]
+            arena.put(f"{prefix}sym-rows{n}", sym.rows)
+            arena.put(f"{prefix}sym-perm{n}", sym.perm)
+            arena.put(f"{prefix}sym-rowptr{n}", sym.rowptr)
+            items[(spec.job, n)] = sym.num_rows
+    for n in range(tensor.order):
+        arena.zeros(f"{prefix}out{n}", (tensor.shape[n], widths[n]), dtype)
+        arena.put(f"{prefix}factor{n}", np.asarray(spec.factors[n], dtype=dtype))
+    return meta, items
 
 
 class PersistentWorkerCrew:
     """Long-lived worker processes serving many pool generations.
 
-    A plain :class:`HOOIProcessPool` spawns its workers at construction and
-    kills them at :meth:`~HOOIProcessPool.close` — the right lifecycle for a
-    one-shot ``hooi(...)`` call, and exactly the wrong one for a service
-    handling a stream of requests, where process spawn + NumPy import costs
-    dominate small jobs.  A crew decouples the two lifetimes: the processes
-    are spawned once (here) and each :class:`HOOIProcessPool` built with
-    ``crew=`` merely *attaches* them to its shared arena (one
-    ``("__attach__", specs, meta)`` command per worker over its private
-    control queue) and *detaches* them on close (the shared-queue sentinel
-    trick: one ``None`` per worker — a worker that took one is back on its
-    control queue and cannot take a second), leaving the processes alive for
-    the next generation.
+    The crew is the only worker lifecycle.  A :class:`HOOIProcessPool`
+    built with ``crew=`` *borrows* it: the pool attaches the workers to its
+    shared arena (one ``("__attach__", specs, meta)`` command per worker
+    over its private control queue) and *detaches* them on close (the
+    shared-queue sentinel trick: one ``None`` per worker — a worker that
+    took one is back on its control queue and cannot take a second),
+    leaving the processes alive for the next generation — the serving
+    lifecycle, where process spawn + NumPy import costs would otherwise
+    dominate small jobs.  A pool built without ``crew=`` spawns a private
+    crew for its one generation and closes it with the pool — the one-shot
+    ``hooi(...)`` lifecycle.
 
     The crew is not usable concurrently: at most one generation may be
     attached at a time (the serving layer's admission batching exists to
@@ -520,8 +392,8 @@ class PersistentWorkerCrew:
                 proc = ctx.Process(
                     target=_worker_main,
                     args=(
-                        worker_id, None, None,
-                        self.task_q, self.done_q, self.ctrl_qs[worker_id],
+                        worker_id, self.task_q, self.done_q,
+                        self.ctrl_qs[worker_id],
                     ),
                     name=f"repro-crew-worker-{worker_id}",
                     daemon=True,
@@ -609,275 +481,143 @@ class PersistentWorkerCrew:
 
 @dataclass(frozen=True)
 class BatchJobSpec:
-    """One member of a batched per-mode pool generation.
+    """One member of a batched pool generation.
 
-    ``job`` is the caller-chosen key every pool call uses to address this
-    member (``pool.ttmc(mode, job=...)``); it doubles as the arena
-    namespace prefix, so it must be unique within the batch.  ``tensor``
-    must already carry the job's value dtype (the engine's dtype policy is
-    applied before the arena is built) and ``factors`` are the job's
-    initial factor matrices.
+    ``job`` is the key every pool call uses to address this member
+    (``pool.ttmc(mode, job=...)``); it doubles as the arena namespace
+    prefix, so it must be unique within the batch.  ``None`` is the
+    unprefixed key of a one-job pool — the engine's own process executor
+    packs its run that way.  ``tensor`` must already carry the job's value
+    dtype (the engine's dtype policy is applied before the arena is built)
+    and ``factors`` are the job's initial factor matrices.
 
-    ``tensor_format`` picks the member's arena layout: ``"coo"`` (default)
-    packs the COO indices plus ``symbolic`` per-mode update lists,
-    ``"csf"`` packs the level arrays of ``trees`` (a
-    :class:`~repro.sparse.csf.CSFTensorSet` built per-mode) instead —
-    ``symbolic`` may then be empty.  Members of one batch can mix formats.
+    The member's layout follows its plan: ``trees`` (a
+    :class:`~repro.sparse.csf.CSFTensorSet` built per-mode) packs the CSF
+    level arrays for root-fiber-slab chunks; without it, the COO indices
+    plus the ``symbolic`` per-mode update lists are packed for row chunks.
+    Members of one batch can mix layouts.
     """
 
-    job: str
+    job: Optional[str]
     tensor: object
-    symbolic: Dict[int, ModeSymbolic]
+    symbolic: Optional[Dict[int, ModeSymbolic]]
     factors: Sequence[np.ndarray]
     ranks: Sequence[int]
     block_nnz: Optional[int] = None
     kernel: str = "numpy"
-    tensor_format: str = "coo"
     trees: object = None
 
 
 class HOOIProcessPool:
-    """A pool of worker processes attached to one shared arena.
+    """Worker processes attached to one shared arena.
 
-    Build one with :meth:`for_per_mode` (row-parallel COO ``Y_(n)`` TTMc),
-    :meth:`for_csf` (root-fiber-slab pullups over shared CSF level arrays),
-    :meth:`for_dimtree` (fiber-parallel dimension-tree edge updates) or
-    :meth:`for_per_mode_batch` (several jobs — COO and CSF members alike —
-    sharing one generation), drive it with :meth:`ttmc` /
-    :meth:`dimtree_edge` / :meth:`write_factor`, and release it with
-    :meth:`close` (or use it as a context manager).
+    Build one with :meth:`for_per_mode_batch` (one or more COO / CSF jobs —
+    row chunks of ``J_n`` or root-fiber slabs — sharing one generation) or
+    :meth:`for_dimtree` (fiber-parallel dimension-tree edge updates), drive
+    it with :meth:`ttmc` / :meth:`dimtree_edge` / :meth:`write_factor`, and
+    release it with :meth:`close` (or use it as a context manager).
 
-    Workers either belong to the pool (spawned here, killed on close — the
-    one-shot ``hooi(...)`` lifecycle) or to a caller-owned
-    :class:`PersistentWorkerCrew` passed as ``crew=`` (attached on
-    construction, detached — but kept alive — on close; the serving
-    lifecycle).  ``mode_rows`` is keyed ``(job, mode)`` with ``job=None``
-    for single-job pools.
+    Workers always belong to a :class:`PersistentWorkerCrew`: a caller-owned
+    one passed as ``crew=`` (attached on construction, detached — but kept
+    alive — on close; the serving lifecycle) or a private one spawned here
+    and closed with the pool (the one-shot ``hooi(...)`` lifecycle).  Every
+    task is one ``(task_id, job, item, start, stop)`` tuple: ``item`` is a
+    mode for :meth:`ttmc` and a tree node for :meth:`dimtree_edge`, and the
+    job's program on the worker knows which chunk body to run.
     """
 
-    def __init__(self, *, arena: ShmArena, meta: dict, mode_rows: Dict,
-                 node_groups: Dict[int, int], config: ProcessConfig,
+    def __init__(self, *, arena: ShmArena, meta: dict, items: Dict,
+                 config: ProcessConfig,
                  crew: Optional[PersistentWorkerCrew] = None) -> None:
         self._arena = arena
         self._meta = meta
-        self._mode_rows = mode_rows
-        self._node_groups = node_groups
+        self._items = items
         self.config = config
-        self._crew = crew
+        self._owns_crew = crew is None
         self._closed = False
         self._broken = False
         self._detach_needed = False
         self._task_counter = 0
-        # TTMc task kind per job key: CSF members dispatch root-fiber slabs
-        # ("csf"), COO members dispatch symbolic row chunks ("ttmc").
-        if meta["strategy"] == "batch":
-            self._ttmc_kinds = {
-                j["job"]: ("csf" if j["strategy"] == "csf" else "ttmc")
-                for j in meta["jobs"]
-            }
-        else:
-            self._ttmc_kinds = {
-                None: "csf" if meta["strategy"] == "csf" else "ttmc"
-            }
+        self._crew = crew
         self.workers: List[mp.process.BaseProcess] = []
         try:
-            if crew is not None:
-                if crew.num_workers != config.num_workers:
-                    raise ValueError(
-                        f"the crew has {crew.num_workers} workers but the "
-                        f"pool config asks for {config.num_workers}; size "
-                        "the ProcessConfig from crew.num_workers"
-                    )
-                self._task_q = crew.task_q
-                self._done_q = crew.done_q
-                self.workers = crew.workers
-                crew.attach(arena.specs, meta)
-                self._detach_needed = True
-                try:
-                    self._wait_ready()
-                except BaseException:
-                    # A partial attach leaves workers split between the
-                    # control and generation loops; a detach broadcast could
-                    # poison a later generation, so retire the crew instead.
-                    crew.mark_broken()
-                    self._detach_needed = False
-                    raise
-                return
-            ctx = mp.get_context(config.start_method or default_start_method())
-            self._task_q = ctx.Queue()
-            self._done_q = ctx.Queue()
-            for worker_id in range(config.num_workers):
-                proc = ctx.Process(
-                    target=_worker_main,
-                    args=(
-                        worker_id, arena.specs, meta,
-                        self._task_q, self._done_q, None,
-                    ),
-                    name=f"repro-hooi-worker-{worker_id}",
-                    daemon=True,
+            if crew is None:
+                self._crew = crew = PersistentWorkerCrew(
+                    config.num_workers,
+                    start_method=config.start_method,
+                    startup_timeout=config.startup_timeout,
                 )
-                proc.start()
-                self.workers.append(proc)
-            self._wait_ready()
+            elif crew.num_workers != config.num_workers:
+                raise ValueError(
+                    f"the crew has {crew.num_workers} workers but the "
+                    f"pool config asks for {config.num_workers}; size "
+                    "the ProcessConfig from crew.num_workers"
+                )
+            self._task_q = crew.task_q
+            self._done_q = crew.done_q
+            self.workers = crew.workers
+            crew.attach(arena.specs, meta)
+            self._detach_needed = True
+            try:
+                self._wait_ready()
+            except BaseException:
+                # A partial attach leaves workers split between the control
+                # and generation loops; a detach broadcast could poison a
+                # later generation, so retire the crew instead.
+                crew.mark_broken()
+                self._detach_needed = False
+                raise
         except BaseException:
             self.close()
             raise
 
     # -- constructors ---------------------------------------------------- #
     @classmethod
-    def for_per_mode(
-        cls,
-        tensor,
-        symbolic: Dict[int, ModeSymbolic],
-        factors: Sequence[np.ndarray],
-        ranks: Sequence[int],
-        dtype,
-        *,
-        config: Optional[ProcessConfig] = None,
-        block_nnz: Optional[int] = None,
-        kernel: str = "numpy",
-        crew: Optional[PersistentWorkerCrew] = None,
-    ) -> "HOOIProcessPool":
-        """Pool executing the per-mode row-parallel TTMc (Algorithm 3).
-
-        ``kernel`` selects the inner-loop tier each worker runs
-        (``"numpy"`` or the compiled ``"numba"`` loops); it rides along in
-        the pool metadata, so workers resolve their own dispatch table after
-        attaching shared memory.  ``crew`` runs the generation on an
-        existing :class:`PersistentWorkerCrew` instead of spawning workers.
-        """
-        config = _resolve_config(config, crew)
-        dtype = np.dtype(dtype)
-        ranks = [int(r) for r in ranks]
-        order = tensor.order
-        arena = ShmArena()
-        try:
-            meta = _put_per_mode_job(
-                arena, tensor, symbolic, factors, ranks, dtype,
-                block_nnz=block_nnz, kernel=kernel, prefix="",
-            )
-            mode_rows = {
-                (None, n): symbolic[n].num_rows for n in range(order)
-            }
-            return cls(
-                arena=arena, meta=meta, mode_rows=mode_rows,
-                node_groups={}, config=config, crew=crew,
-            )
-        except BaseException:
-            arena.unlink()
-            raise
-
-    @classmethod
     def for_per_mode_batch(
         cls,
         specs: Sequence[BatchJobSpec],
-        dtype,
+        dtype=np.float64,
         *,
         config: Optional[ProcessConfig] = None,
         crew: Optional[PersistentWorkerCrew] = None,
     ) -> "HOOIProcessPool":
-        """Pool packing several small per-mode jobs into ONE generation.
+        """Pool packing one or more per-mode jobs into ONE generation.
 
-        Every member's operands land in the same arena under a
+        Every member's operands land in the same arena under its
         ``<job>:``-prefixed namespace and all workers attach them in a
-        single ``__attach__`` cycle — the admission batching the serving
-        layer uses so a stream of small tensors costs one attach/detach per
-        *batch* instead of one per job.  Drive members independently with
-        ``ttmc(mode, job=...)`` / ``write_factor(mode, U, job=...)``; the
-        pool itself stays single-consumer (members run one at a time).
+        single ``__attach__`` cycle — a one-element call is the engine's
+        own process executor, a many-element call on a ``crew`` is the
+        admission batching the serving layer uses so a stream of small
+        tensors costs one attach/detach per *batch* instead of one per job.
+        Drive members independently with ``ttmc(mode, job=...)`` /
+        ``write_factor(mode, U, job=...)``; the pool itself stays
+        single-consumer (members run one at a time).
 
         ``dtype`` is the default value dtype; a member whose tensor already
         carries a (supported) different dtype keeps its own — members of one
-        batch need not share a precision policy.
+        batch need not share a precision policy.  ``kernel`` (per member)
+        selects the inner-loop tier each worker runs; it rides along in the
+        metadata, so workers resolve their own dispatch table after
+        attaching shared memory.
         """
         specs = list(specs)
         if not specs:
             raise ValueError("a batch generation needs at least one job")
         keys = [spec.job for spec in specs]
         if len(set(keys)) != len(keys):
-            raise ValueError(f"duplicate job keys in batch: {sorted(keys)}")
+            raise ValueError(f"duplicate job keys in batch: {keys}")
         config = _resolve_config(config, crew)
         arena = ShmArena()
         try:
-            jobs_meta = []
-            mode_rows: Dict = {}
+            jobs, items = [], {}
             for spec in specs:
                 job_dtype = np.dtype(getattr(spec.tensor, "dtype", dtype))
-                fmt = getattr(spec, "tensor_format", "coo") or "coo"
-                if fmt == "csf":
-                    if spec.trees is None:
-                        raise ValueError(
-                            f"batch member {spec.job!r} asks for "
-                            "tensor_format='csf' but carries no CSFTensorSet "
-                            "in spec.trees"
-                        )
-                    job_meta, roots = _put_csf_job(
-                        arena, spec.trees, spec.tensor, spec.factors,
-                        [int(r) for r in spec.ranks], job_dtype,
-                        block_nnz=spec.block_nnz, kernel=spec.kernel,
-                        prefix=f"{spec.job}:",
-                    )
-                    for n, num_roots in roots.items():
-                        mode_rows[(spec.job, n)] = num_roots
-                else:
-                    job_meta = _put_per_mode_job(
-                        arena, spec.tensor, spec.symbolic, spec.factors,
-                        [int(r) for r in spec.ranks], job_dtype,
-                        block_nnz=spec.block_nnz, kernel=spec.kernel,
-                        prefix=f"{spec.job}:",
-                    )
-                    for n in range(spec.tensor.order):
-                        mode_rows[(spec.job, n)] = spec.symbolic[n].num_rows
-                job_meta["job"] = spec.job
-                jobs_meta.append(job_meta)
-            meta = {"strategy": "batch", "jobs": jobs_meta}
+                job_meta, job_items = _put_job(arena, spec, job_dtype)
+                jobs.append(job_meta)
+                items.update(job_items)
             return cls(
-                arena=arena, meta=meta, mode_rows=mode_rows,
-                node_groups={}, config=config, crew=crew,
-            )
-        except BaseException:
-            arena.unlink()
-            raise
-
-    @classmethod
-    def for_csf(
-        cls,
-        trees,
-        tensor,
-        factors: Sequence[np.ndarray],
-        ranks: Sequence[int],
-        dtype,
-        *,
-        config: Optional[ProcessConfig] = None,
-        block_nnz: Optional[int] = None,
-        kernel: str = "numpy",
-        crew: Optional[PersistentWorkerCrew] = None,
-    ) -> "HOOIProcessPool":
-        """Pool executing root-fiber-slab CSF pullups (per-mode rooted trees).
-
-        ``trees`` is a :class:`~repro.sparse.csf.CSFTensorSet` built with
-        ``per_mode`` — one tree rooted at every mode, the layout whose TTMc
-        is a pure pullup with its output rows the unique, sorted root
-        fibers.  The per-level ``fids``/``fptr`` arrays and the sorted
-        values of every tree go into the arena once; workers rebuild
-        zero-copy :class:`~repro.sparse.csf.CSFTensor` views on attach, and
-        each TTMc dispatches contiguous root-fiber slabs whose subtree is a
-        contiguous node range at every level and whose output rows are
-        disjoint from every other slab's — the same lock-free write
-        discipline as the COO row chunks, over 0.7× the index bytes.
-        """
-        config = _resolve_config(config, crew)
-        arena = ShmArena()
-        try:
-            meta, roots = _put_csf_job(
-                arena, trees, tensor, factors, [int(r) for r in ranks],
-                np.dtype(dtype), block_nnz=block_nnz, kernel=kernel,
-                prefix="",
-            )
-            mode_rows = {(None, n): roots[n] for n in range(tensor.order)}
-            return cls(
-                arena=arena, meta=meta, mode_rows=mode_rows,
-                node_groups={}, config=config, crew=crew,
+                arena=arena, meta={"jobs": jobs}, items=items,
+                config=config, crew=crew,
             )
         except BaseException:
             arena.unlink()
@@ -923,7 +663,7 @@ class HOOIProcessPool:
                 np.asarray(tree.root_values, dtype=dtype).reshape(-1, 1),
             )
             edges: List[dict] = []
-            node_groups: Dict[int, int] = {}
+            node_groups: Dict = {}
             for node in tree.nodes:
                 if node is tree.root:
                     continue
@@ -947,21 +687,20 @@ class HOOIProcessPool:
                     "hi_width": int(hi_width),
                     "contiguous": bool(node.grouping.contiguous),
                 })
-                node_groups[nid] = node.num_fibers
+                node_groups[(None, nid)] = node.num_fibers
             for n in range(tensor.order):
                 arena.put(f"factor{n}", np.asarray(factors[n], dtype=dtype))
             meta = {
+                "job": None,
                 "strategy": "dimtree",
                 "shape": tuple(int(s) for s in tensor.shape),
-                "ranks": tuple(ranks),
-                "dtype": dtype.str,
                 "block_nnz": block_nnz,
                 "root_id": root_id,
                 "edges": edges,
             }
             return cls(
-                arena=arena, meta=meta, mode_rows={},
-                node_groups=node_groups, config=config, crew=crew,
+                arena=arena, meta={"jobs": [meta]}, items=node_groups,
+                config=config, crew=crew,
             )
         except BaseException:
             arena.unlink()
@@ -1017,7 +756,7 @@ class HOOIProcessPool:
         for task in tasks:
             task_id = self._task_counter
             self._task_counter += 1
-            self._task_q.put((task[0], task_id) + tuple(task[1:]))
+            self._task_q.put((task_id, *task))
             pending.add(task_id)
         errors: List[str] = []
         while pending:
@@ -1048,47 +787,29 @@ class HOOIProcessPool:
         )
 
     # -- public operations ----------------------------------------------- #
-    @staticmethod
-    def _prefix(job: Optional[str]) -> str:
-        return f"{job}:" if job is not None else ""
+    def _run(self, job: Optional[str], item: int) -> None:
+        """Dispatch every chunk of one item (a mode or a tree node)."""
+        self._check_usable()
+        num_items = self._items[(job, item)]
+        if num_items:
+            self._dispatch(
+                [(job, item, start, stop) for start, stop in self._chunks(num_items)]
+            )
 
     def ttmc(self, mode: int, *, job: Optional[str] = None) -> np.ndarray:
-        """Row-parallel ``Y_(mode)`` into (and returning) the shared buffer.
+        """Chunk-parallel ``Y_(mode)`` into (and returning) the shared buffer.
 
         ``job`` addresses one member of a batched generation
-        (:meth:`for_per_mode_batch`); single-job pools omit it.  The chunks
+        (:meth:`for_per_mode_batch`); the unkeyed job omits it.  The chunks
         cover symbolic output rows for COO members and root-fiber slabs for
         CSF members — either way each chunk writes a disjoint row set.
         """
-        self._check_usable()
-        out = self._arena[f"{self._prefix(job)}out{mode}"]
-        num_rows = self._mode_rows[(job, mode)]
-        kind = self._ttmc_kinds[job]
-        if num_rows:
-            self._dispatch(
-                [
-                    (kind, job, mode, start, stop)
-                    for start, stop in self._chunks(num_rows)
-                ]
-            )
-        return out
+        self._run(job, mode)
+        return self._arena[f"{_prefix(job)}out{mode}"]
 
     def dimtree_edge(self, node_id: int) -> np.ndarray:
         """Fiber-parallel refinement of one tree edge; returns the payload."""
-        self._check_usable()
-        payload = self._arena[f"payload{int(node_id)}"]
-        num_groups = self._node_groups[int(node_id)]
-        if num_groups:
-            self._dispatch(
-                [
-                    ("edge", None, int(node_id), start, stop)
-                    for start, stop in self._chunks(num_groups)
-                ]
-            )
-        return payload
-
-    def node_payload(self, node_id: int) -> np.ndarray:
-        """The shared payload buffer of a dimension-tree node."""
+        self._run(None, int(node_id))
         return self._arena[f"payload{int(node_id)}"]
 
     def write_factor(
@@ -1101,7 +822,7 @@ class HOOIProcessPool:
         """
         if self._closed:
             raise RuntimeError("the process pool is closed")
-        segment = self._arena[f"{self._prefix(job)}factor{mode}"]
+        segment = self._arena[f"{_prefix(job)}factor{mode}"]
         array = np.asarray(array, dtype=segment.dtype)
         if array.shape != segment.shape:
             raise ValueError(
@@ -1117,7 +838,7 @@ class HOOIProcessPool:
         return self._arena.segment_names
 
     # -- lifecycle ------------------------------------------------------- #
-    def _close_crew_generation(self) -> None:
+    def _detach(self) -> None:
         """Detach the crew's workers from this arena (keep them alive).
 
         One ``None`` sentinel per worker ends the generation loop; each
@@ -1157,46 +878,24 @@ class HOOIProcessPool:
             # drain and drop it so the next generation starts clean.
 
     def close(self) -> None:
-        """Stop the workers and destroy the shared segments (idempotent).
+        """End the generation and destroy the shared segments (idempotent).
 
-        Crew-backed pools *detach* the workers instead of stopping them —
-        the generation ends, the processes live on for the next one.
+        A borrowed crew is *detached* — the processes live on for the next
+        generation; a private crew is closed, which reaps its workers.
         """
         if self._closed:
             self._arena.unlink()
             return
         self._closed = True
-        if self._crew is not None:
-            try:
-                self._close_crew_generation()
-            finally:
-                self._arena.close()
-                self._arena.unlink()
-            return
-        for _ in self.workers:
-            try:
-                self._task_q.put(None)
-            except (OSError, ValueError):
-                break
-        for worker in self.workers:
-            worker.join(timeout=2.0)
-        for worker in self.workers:
-            if worker.is_alive():
-                worker.terminate()
-                worker.join(timeout=1.0)
-            if worker.is_alive():  # pragma: no cover - last resort
-                worker.kill()
-                worker.join(timeout=1.0)
-        for q in (getattr(self, "_task_q", None), getattr(self, "_done_q", None)):
-            if q is None:
-                continue
-            try:
-                q.cancel_join_thread()
-                q.close()
-            except (OSError, ValueError):
-                pass
-        self._arena.close()
-        self._arena.unlink()
+        try:
+            if self._owns_crew:
+                if self._crew is not None:
+                    self._crew.close()
+            else:
+                self._detach()
+        finally:
+            self._arena.close()
+            self._arena.unlink()
 
     def __enter__(self) -> "HOOIProcessPool":
         return self
@@ -1208,5 +907,5 @@ class HOOIProcessPool:
         state = "closed" if self._closed else ("broken" if self._broken else "live")
         return (
             f"HOOIProcessPool(workers={len(self.workers)}, "
-            f"strategy={self._meta['strategy']!r}, {state})"
+            f"jobs={[j['job'] for j in self._meta['jobs']]!r}, {state})"
         )

@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.core.hooi import HOOIOptions, HOOIResult
 from repro.core.sparse_tensor import SparseTensor
-from repro.engine.dimtree import resolve_ttmc_backend
+from repro.engine.backend import resolve_ttmc_backend
 from repro.engine.driver import HOOIEngine
 from repro.parallel.model import NodeModel, BGQ_NODE
 from repro.parallel.parallel_for import ParallelConfig

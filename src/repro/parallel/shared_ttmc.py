@@ -11,6 +11,7 @@ in the paper.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -22,7 +23,7 @@ from repro.core.ttmc import default_block_size, gather_ranges, ttmc_dtype
 from repro.parallel.parallel_for import ParallelConfig, parallel_for
 from repro.util.validation import check_axis, check_same_order
 
-__all__ = ["ttmc_row_block", "parallel_ttmc_row_block", "parallel_ttmc_matricized"]
+__all__ = ["ttmc_row_block", "ttmc_row_chunk", "parallel_ttmc_matricized"]
 
 
 def ttmc_row_block(
@@ -112,51 +113,39 @@ def ttmc_row_block(
     return out
 
 
-def parallel_ttmc_row_block(
+def ttmc_row_chunk(
     tensor: SparseTensor,
     factors: Sequence[Optional[np.ndarray]],
     mode: int,
     symbolic: ModeSymbolic,
-    row_positions: np.ndarray,
+    out: np.ndarray,
+    start: int,
+    stop: int,
     *,
-    config: Optional[ParallelConfig] = None,
+    positions: Optional[np.ndarray] = None,
     block_nnz: Optional[int] = None,
     kernel: str = "numpy",
-) -> np.ndarray:
-    """Thread-parallel :func:`ttmc_row_block` (same contract, chunked rows).
+) -> None:
+    """One lock-free chunk of ``Y_(mode)`` — the COO plan's chunk body.
 
-    Contiguous chunks of ``row_positions`` are distributed over worker
-    threads with the configured schedule; each worker computes its chunk via
-    :func:`ttmc_row_block` and writes the corresponding disjoint slice of the
-    shared output — the paper's lock-free row decomposition applied to a
-    compact row *block* instead of the full ``Y_(n)``.  This is what a hybrid
-    distributed rank runs: its local update lists, split over the rank's
-    nested thread team.
+    Without ``positions`` the chunk is rows ``start:stop`` of ``J_n``,
+    written to their global rows of a full ``(I_n, ∏R_t)`` buffer; with
+    ``positions`` (sorted positions into ``symbolic.rows``) it is
+    ``positions[start:stop]``, written to ``out[start:stop]`` of a compact
+    block.  Every executor that splits a mode — thread team or worker
+    process — runs exactly this, so each output row has one writer.
     """
-    config = config or ParallelConfig()
-    row_positions = np.asarray(row_positions, dtype=np.int64)
-    widths = [
-        np.asarray(factors[t]).shape[1] for t in range(tensor.order) if t != mode
-    ]
-    width = kron_row_length(widths)
-    dtype = ttmc_dtype(tensor, factors, mode)
-    out = np.zeros((row_positions.shape[0], width), dtype=dtype)
-    if row_positions.shape[0] == 0:
-        return out
-
-    def body(start: int, stop: int) -> None:
-        out[start:stop] = ttmc_row_block(
-            tensor,
-            factors,
-            mode,
-            symbolic,
-            row_positions[start:stop],
-            block_nnz=block_nnz,
-            kernel=kernel,
+    if positions is None:
+        out[symbolic.rows[start:stop]] = ttmc_row_block(
+            tensor, factors, mode, symbolic,
+            np.arange(start, stop, dtype=np.int64),
+            block_nnz=block_nnz, kernel=kernel,
         )
-
-    parallel_for(body, row_positions.shape[0], config)
-    return out
+    else:
+        out[start:stop] = ttmc_row_block(
+            tensor, factors, mode, symbolic, positions[start:stop],
+            block_nnz=block_nnz, kernel=kernel,
+        )
 
 
 def parallel_ttmc_matricized(
@@ -174,7 +163,7 @@ def parallel_ttmc_matricized(
     """Shared-memory parallel ``Y_(n) = (X ×_{-n} Uᵀ)_(n)``.
 
     The non-empty rows ``J_n`` are chunked according to ``config`` and each
-    chunk is computed by :func:`ttmc_row_block` on a worker thread; workers
+    chunk is computed by :func:`ttmc_row_chunk` on a worker thread; workers
     write disjoint row slices of the shared output, so the loop is lock-free.
 
     ``zero`` controls how much of a caller-provided ``out`` is cleared:
@@ -210,13 +199,12 @@ def parallel_ttmc_matricized(
     if symbolic.num_rows == 0:
         return out
 
-    def body(start: int, stop: int) -> None:
-        row_positions = np.arange(start, stop, dtype=np.int64)
-        block = ttmc_row_block(
-            tensor, factors, mode, symbolic, row_positions,
+    parallel_for(
+        partial(
+            ttmc_row_chunk, tensor, factors, mode, symbolic, out,
             block_nnz=block_nnz, kernel=kernel,
-        )
-        out[symbolic.rows[start:stop]] = block
-
-    parallel_for(body, symbolic.num_rows, config)
+        ),
+        symbolic.num_rows,
+        config,
+    )
     return out

@@ -22,7 +22,6 @@ CONTRIBUTING for the job-state extension guidelines.
 
 from repro.serving.cache import ResultCache
 from repro.serving.executor import (
-    PooledProcessBackend,
     pooled_eligible,
     run_direct,
     run_process_batch,
@@ -52,7 +51,6 @@ __all__ = [
     "JobTimeoutError",
     "ResultCache",
     "HOOIPoolManager",
-    "PooledProcessBackend",
     "pooled_eligible",
     "run_direct",
     "run_process_batch",

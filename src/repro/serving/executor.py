@@ -11,12 +11,14 @@ Two execution paths, chosen per job by the dispatcher:
 * :func:`run_process_batch` — the persistent-pool path.  All jobs of the
   batch are prepared up front (dtype policy, per-mode symbolic data or
   per-mode rooted CSF trees, initial factors — the same steps, in the same
-  order, the engine's own :class:`~repro.engine.backend.ProcessBackend` /
-  :class:`~repro.engine.backend.ProcessCSFBackend` perform), packed into ONE
-  :meth:`~repro.parallel.process_pool.HOOIProcessPool.for_per_mode_batch`
-  generation on the manager's crew, and then run one engine at a time
-  through :class:`PooledProcessBackend`.  A batch costs one worker
-  attach/detach cycle regardless of its size and zero process spawns — the
+  order, the engine's :class:`~repro.engine.backend.COOPlan` /
+  :class:`~repro.engine.backend.CSFPlan` perform in ``prepare``), packed
+  into ONE :meth:`~repro.parallel.process_pool.HOOIProcessPool.for_per_mode_batch`
+  generation on the manager's crew, and then run one engine at a time, each
+  on its plan with the generation as a *borrowed* executor
+  (:class:`~repro.engine.backend.BorrowedPool`: addressed by job key, never
+  closed by the member).  A batch costs one worker attach/detach cycle
+  regardless of its size and zero process spawns — the
   attach/detach-thrash avoidance that makes a stream of small tensors cheap.
 
 Every job's outcome is reported as a ``(job, kind, payload)`` tuple with
@@ -29,7 +31,7 @@ service's single worker thread.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,7 +39,7 @@ from repro.core.hooi import hooi
 from repro.core.hosvd import initialize_factors
 from repro.core.sparse_tensor import SparseTensor, resolve_dtype
 from repro.core.symbolic import symbolic_ttmc
-from repro.engine.backend import SequentialBackend
+from repro.engine.backend import BorrowedPool, ttmc_plan
 from repro.engine.driver import HOOIEngine
 from repro.engine.workspace import WorkspacePool
 from repro.parallel.process_pool import (
@@ -52,7 +54,6 @@ from repro.resilience.faults import maybe_fail
 from repro.serving.jobs import Job, JobCancelledError, JobTimeoutError
 
 __all__ = [
-    "PooledProcessBackend",
     "pooled_eligible",
     "run_direct",
     "run_process_batch",
@@ -142,64 +143,7 @@ def run_direct(job: Job, *, workspace: Optional[WorkspacePool] = None) -> Outcom
     return (job, "ok", result)
 
 
-class PooledProcessBackend(SequentialBackend):
-    """Engine backend executing TTMc on an already-attached pool generation.
-
-    Unlike :class:`~repro.engine.backend.ProcessBackend` — which builds its
-    own pool in ``prepare`` and kills it in ``finalize`` — this backend is
-    handed a generation that was built *before* the engine started (the
-    batch arena needs every member's operands at construction time) and
-    whose teardown belongs to the batch runner, not to any single member.
-    The pre-computed tensor/symbolic/factors are replayed into the engine's
-    hooks so the engine state matches what the arena holds; ``finalize`` is
-    deliberately a no-op.
-    """
-
-    name = "pooled-process"
-
-    def __init__(
-        self,
-        pool: HOOIProcessPool,
-        job_key: str,
-        tensor: SparseTensor,
-        symbolic: Dict,
-        factors: Sequence[np.ndarray],
-    ) -> None:
-        self._pool = pool
-        self._job = job_key
-        self._tensor = tensor
-        self._symbolic = symbolic
-        self._factors = list(factors)
-
-    def prepare_tensor(self, eng) -> None:
-        # The dtype policy was applied when the arena was packed; hand the
-        # engine the exact tensor the workers attached.
-        eng.tensor = self._tensor
-
-    def initial_factors(self, eng) -> List[np.ndarray]:
-        return self._factors
-
-    def prepare(self, eng) -> None:
-        self.symbolic = self._symbolic
-
-    def compute_ttmc(self, eng, mode: int) -> np.ndarray:
-        return self._pool.ttmc(mode, job=self._job)
-
-    def update_factor(self, eng, mode: int, y_mat: np.ndarray):
-        new_factor, stats = super().update_factor(eng, mode, y_mat)
-        self._pool.write_factor(mode, new_factor, job=self._job)
-        return new_factor, stats
-
-    def finalize(self, eng) -> None:
-        # The generation outlives this member; run_process_batch closes it.
-        pass
-
-
-def _prepare_member(
-    job: Job,
-) -> Tuple[
-    SparseTensor, Dict, object, List[np.ndarray], Optional[CheckpointState]
-]:
+def _prepare_member(job: Job) -> Tuple[BatchJobSpec, Optional[CheckpointState]]:
     """Apply the dtype policy and build symbolic/tree data + initial factors.
 
     Mirrors the engine's own setup order (``prepare_tensor`` →
@@ -234,17 +178,26 @@ def _prepare_member(
                 tensor, list(request.ranks), init=opts.init, seed=opts.seed
             )
         ]
+    symbolic, trees = None, None
     if (opts.tensor_format or "coo") == "csf":
         from repro.sparse import CSFTensorSet
 
         trees = CSFTensorSet.per_mode(tensor)
-        symbolic: Dict = {}
     else:
-        trees = None
         symbolic = {
             mode: symbolic_ttmc(tensor, mode) for mode in range(tensor.order)
         }
-    return tensor, symbolic, trees, factors, resume
+    spec = BatchJobSpec(
+        job=job.id,
+        tensor=tensor,
+        symbolic=symbolic,
+        factors=factors,
+        ranks=list(request.ranks),
+        block_nnz=opts.block_nnz,
+        kernel=opts.kernel or "numpy",
+        trees=trees,
+    )
+    return spec, resume
 
 
 def run_process_batch(
@@ -261,32 +214,9 @@ def run_process_batch(
     generation stays consistent because the engine's ``cancel_check`` fires
     strictly between dispatches.
     """
-    members = []
     try:
         maybe_fail("serving.run_batch")
-        for job in jobs:
-            tensor, symbolic, trees, factors, resume = _prepare_member(job)
-            opts = job.effective_options
-            members.append(
-                (
-                    job,
-                    tensor,
-                    symbolic,
-                    factors,
-                    resume,
-                    BatchJobSpec(
-                        job=job.id,
-                        tensor=tensor,
-                        symbolic=symbolic,
-                        factors=factors,
-                        ranks=list(job.request.ranks),
-                        block_nnz=opts.block_nnz,
-                        kernel=opts.kernel or "numpy",
-                        tensor_format=opts.tensor_format or "coo",
-                        trees=trees,
-                    ),
-                )
-            )
+        members = [(job, *_prepare_member(job)) for job in jobs]
     except BaseException as exc:
         # Admission already validated the requests, so a preparation failure
         # is unexpected — fail the whole batch with the real error.
@@ -294,7 +224,7 @@ def run_process_batch(
 
     try:
         pool = HOOIProcessPool.for_per_mode_batch(
-            [m[5] for m in members],
+            [spec for _, spec, _ in members],
             np.float64,
             config=ProcessConfig(num_workers=crew.num_workers),
             crew=crew,
@@ -304,16 +234,14 @@ def run_process_batch(
 
     outcomes: List[Outcome] = []
     try:
-        for job, tensor, symbolic, factors, resume, _spec in members:
+        for job, spec, resume in members:
+            opts = job.effective_options
             try:
-                backend = PooledProcessBackend(
-                    pool, job.id, tensor, symbolic, factors
-                )
                 engine = HOOIEngine(
-                    tensor,
+                    spec.tensor,
                     list(job.request.ranks),
-                    job.effective_options,
-                    backend=backend,
+                    opts,
+                    backend=ttmc_plan(opts)(BorrowedPool(pool, spec)),
                 )
                 result = engine.run(
                     callback=job.progress_callback,

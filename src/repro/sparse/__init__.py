@@ -15,7 +15,7 @@ from repro.sparse.csf import (
     memory_report,
     rooted_mode_order,
 )
-from repro.sparse.csf_ttmc import csf_ttmc_compact, csf_ttmc_matricized
+from repro.sparse.csf_ttmc import csf_slab_chunk, csf_ttmc_compact, csf_ttmc_matricized
 
 __all__ = [
     "CSFTensor",
@@ -23,6 +23,7 @@ __all__ = [
     "default_mode_order",
     "rooted_mode_order",
     "memory_report",
+    "csf_slab_chunk",
     "csf_ttmc_compact",
     "csf_ttmc_matricized",
 ]

@@ -476,7 +476,7 @@ class CSFTensorSet:
         """One rooted tree per mode, built with up to one task per mode.
 
         The builds are independent full lexsorts of the nonzeros, so the
-        threaded backend overlaps them exactly like the per-mode symbolic
+        thread and process executors overlap them exactly like the per-mode symbolic
         step (``parallel_symbolic``).
         """
 

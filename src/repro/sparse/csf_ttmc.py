@@ -21,7 +21,7 @@ The target mode's level splits the tree: ``Y_(n)`` rows are the kron of each
 target node's pushdown and pullup vectors, segment-summed by target index.
 With the target at the root (a :func:`~repro.sparse.csf.rooted_mode_order`
 tree) the pushdown vanishes and the output rows are exactly the sorted,
-unique root fibers — the layout the threaded backend exploits: contiguous
+unique root fibers — the layout the CSF plan's executors exploit: contiguous
 *root-fiber slabs* map to disjoint output rows, so workers write lock-free
 (``make_chunks`` schedules over root fibers, mirroring the paper's row
 decomposition).
@@ -43,7 +43,7 @@ from repro.core.ttmc import _factor_widths
 from repro.sparse.csf import CSFTensor
 from repro.util.validation import check_axis, check_same_order
 
-__all__ = ["csf_ttmc_compact", "csf_ttmc_matricized"]
+__all__ = ["csf_slab_chunk", "csf_ttmc_compact", "csf_ttmc_matricized"]
 
 
 def _csf_dtype(
@@ -270,13 +270,43 @@ def _to_engine_columns(
     return out
 
 
+def csf_slab_chunk(
+    csf: CSFTensor,
+    factors: Sequence[Optional[np.ndarray]],
+    out: np.ndarray,
+    start: int,
+    stop: int,
+    *,
+    compact: bool = False,
+    kernel: str = "numpy",
+) -> None:
+    """Root-fiber slab ``[start, stop)`` of a tree rooted at its target mode.
+
+    The CSF plan's chunk body, run by every executor that splits a mode:
+    a pure pullup over the slab's contiguous node ranges, column-permuted
+    into engine layout and assigned to the slab's root-fiber rows of
+    ``out`` — ``out[csf.fids[0][start:stop]]`` for a full ``(I_n, ∏R_t)``
+    buffer, ``out[start:stop]`` when ``compact``.  Slabs own disjoint output
+    rows, so concurrent workers write lock-free.
+    """
+    from repro.kernels import kernel_table
+
+    mode = csf.mode_order[0]
+    factor_arrays = _cast_factors(csf, factors, mode, out.dtype)
+    slab = _pullup(
+        csf, factor_arrays, out.dtype, 0,
+        _level_ranges(csf, start, stop), None, kernel_table(kernel),
+    )
+    rows = slice(start, stop) if compact else csf.fids[0][start:stop]
+    out[rows] = _to_engine_columns(slab, csf, factor_arrays, 0)
+
+
 def csf_ttmc_compact(
     csf: CSFTensor,
     factors: Sequence[Optional[np.ndarray]],
     mode: int,
     *,
     workspace=None,
-    config=None,
     kernel: str = "numpy",
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Compact mode-``n`` TTMc: ``(rows, block)`` over the non-empty rows.
@@ -286,15 +316,6 @@ def csf_ttmc_compact(
     :func:`repro.core.ttmc.ttmc_matricized` scatters into the full
     ``(I_n, ∏R_t)`` matrix, without materializing the empty rows (the form
     the distributed driver's row-block seam consumes).
-
-    ``config`` (a :class:`~repro.parallel.parallel_for.ParallelConfig`)
-    parallelizes the sweep over root-fiber slabs when the target mode is the
-    tree's root: each worker owns a contiguous slab of root fibers, whose
-    subtree is a contiguous node range at every level and whose output rows
-    are disjoint from every other slab's.  Deep target levels always run the
-    single-threaded pushdown/pullup pass (their nodes do not partition by
-    output row), so a shared tree still composes with the threaded driver —
-    it just serves deep modes sequentially.
 
     ``kernel`` selects the inner-loop tier: ``"numpy"`` is the vectorized
     gather/kron/``reduceat`` pipeline documented above, ``"numba"`` walks the
@@ -320,37 +341,6 @@ def csf_ttmc_compact(
     factor_arrays = _cast_factors(csf, factors, mode, dtype)
     table = kernel_table(kernel)
     num_roots = csf.num_fibers(0)
-    use_threads = (
-        config is not None
-        and config.num_threads > 1
-        and target_level == 0
-        and num_roots > 1
-    )
-    if use_threads:
-        from repro.parallel.parallel_for import parallel_for
-
-        rows = csf.fids[0]
-        block = (
-            workspace.take((num_roots, width), dtype, tag=f"{csf._token}-compact")
-            if workspace is not None
-            else np.empty((num_roots, width), dtype=dtype)
-        )
-
-        def body(start: int, stop: int) -> None:
-            # Workers allocate privately: the pool is not thread-safe.
-            slab = _pullup(
-                csf, factor_arrays, dtype, 0,
-                _level_ranges(csf, start, stop), None, table,
-            )
-            # The column permutation lands directly in the worker's output
-            # slice; when the layouts agree, the slab is copied as-is.
-            part = block[start:stop]
-            result = _to_engine_columns(slab, csf, factor_arrays, 0, out=part)
-            if result is not part:
-                part[...] = result
-
-        parallel_for(body, num_roots, config)
-        return rows, block
 
     def _cols_out(num_rows: int) -> Optional[np.ndarray]:
         """Pooled destination for the column permutation (None = allocate)."""
@@ -415,7 +405,6 @@ def csf_ttmc_matricized(
     out: Optional[np.ndarray] = None,
     workspace=None,
     zero: str = "full",
-    config=None,
     kernel: str = "numpy",
 ) -> np.ndarray:
     """Mode-``n`` matricized TTMc ``Y_(n)`` served from a CSF tree.
@@ -432,7 +421,7 @@ def csf_ttmc_matricized(
     if zero not in ("full", "touched", "none"):
         raise ValueError(f"unknown zero policy {zero!r}")
     rows, block = csf_ttmc_compact(
-        csf, factors, mode, workspace=workspace, config=config, kernel=kernel
+        csf, factors, mode, workspace=workspace, kernel=kernel
     )
     n_rows = csf.shape[mode]
     width = block.shape[1]

@@ -22,6 +22,7 @@ import numpy as np
 from repro.core.sparse_tensor import (
     SparseTensor,
     as_supported_float,
+    check_finite_values,
     resolve_dtype,
 )
 
@@ -95,8 +96,10 @@ class DeltaBatch:
                 raise ValueError("indices must be a 2-D array of shape (nnz, order)")
         if values.ndim != 1 or values.shape[0] != indices.shape[0]:
             raise ValueError("values must be 1-D with one entry per nonzero")
-        if indices.shape[0] and (indices.min(axis=0) < 0).any():
-            raise ValueError("negative indices are not allowed")
+        if indices.shape[0]:
+            if (indices.min(axis=0) < 0).any():
+                raise ValueError("negative indices are not allowed")
+            check_finite_values(indices, values)
         self.indices = indices
         self.values = values
         if merge_duplicates and self.nnz:

@@ -206,7 +206,7 @@ def out_of_core_hooi(
     rebuild their own trees from a COO tensor), CSF tensor format, and a
     non-HOSVD initializer (HOSVD needs a matricization of the full tensor).
     """
-    from repro.engine.backend import CSFBackend
+    from repro.engine.backend import CSFPlan
     from repro.engine.driver import HOOIEngine
 
     handle = source if isinstance(source, OutOfCoreTensor) else OutOfCoreTensor(source)
@@ -238,7 +238,7 @@ def out_of_core_hooi(
             f"..., dtype={opts.dtype!r}) or match the options dtype"
         )
     tree_set = handle.trees()
-    backend = CSFBackend(
+    backend = CSFPlan(
         trees="shared" if tree_set.shared else "per-mode", tensors=tree_set
     )
     engine = HOOIEngine(handle, ranks, opts, backend=backend, workspace=workspace)

@@ -7,16 +7,17 @@ from repro.core import HOOIOptions, SparseTensor, hooi, ttmc_matricized
 from repro.core.symbolic import symbolic_ttmc
 from repro.data import power_law_sparse_tensor
 from repro.engine import (
-    CSFBackend,
+    COOPlan,
+    CSFPlan,
     HOOIEngine,
-    ThreadedCSFBackend,
     WorkspacePool,
     resolve_ttmc_backend,
 )
-from repro.parallel.parallel_for import ParallelConfig
+from repro.parallel.parallel_for import ParallelConfig, parallel_for
 from repro.sparse import (
     CSFTensor,
     CSFTensorSet,
+    csf_slab_chunk,
     csf_ttmc_compact,
     csf_ttmc_matricized,
     default_mode_order,
@@ -205,10 +206,28 @@ class TestTTMcParity:
                 mode_order=rooted_mode_order(small_tensor_4d.shape, mode),
             )
             expected = ttmc_matricized(small_tensor_4d, factors, mode)
+            # The CSF plan's chunk body on a thread team: root-fiber slabs
+            # written lock-free into their rows of a full Y_(n) ...
+            full = np.zeros_like(expected)
+            parallel_for(
+                lambda start, stop: csf_slab_chunk(
+                    csf, factors, full, start, stop
+                ),
+                csf.num_fibers(0),
+                config,
+            )
+            np.testing.assert_allclose(full, expected, atol=1e-10)
+            # ... or into a compact (J_n, ∏R_t) block.
+            compact = np.empty((csf.num_fibers(0), expected.shape[1]))
+            parallel_for(
+                lambda start, stop: csf_slab_chunk(
+                    csf, factors, compact, start, stop, compact=True
+                ),
+                csf.num_fibers(0),
+                config,
+            )
             np.testing.assert_allclose(
-                csf_ttmc_matricized(csf, factors, mode, config=config),
-                expected,
-                atol=1e-10,
+                compact, expected[csf.fids[0]], atol=1e-10
             )
 
     def test_float32_stays_float32(self, small_tensor_3d):
@@ -304,7 +323,7 @@ class TestCSFBackends:
             small_tensor_3d, self.RANKS, HOOIOptions(max_iterations=3, seed=0)
         )
         for trees in ("per-mode", "shared"):
-            result = self.run(small_tensor_3d, CSFBackend(trees=trees))
+            result = self.run(small_tensor_3d, CSFPlan(trees=trees))
             np.testing.assert_allclose(
                 result.fit_history, reference.fit_history, atol=1e-10
             )
@@ -317,7 +336,7 @@ class TestCSFBackends:
         reference = hooi(
             small_tensor_3d, self.RANKS, HOOIOptions(max_iterations=3, seed=0)
         )
-        backend = ThreadedCSFBackend(ParallelConfig(num_threads=2))
+        backend = CSFPlan(ParallelConfig(num_threads=2))
         result = self.run(small_tensor_3d, backend)
         np.testing.assert_allclose(
             result.fit_history, reference.fit_history, atol=1e-10
@@ -325,10 +344,11 @@ class TestCSFBackends:
 
     def test_bad_tree_policy_rejected(self):
         with pytest.raises(ValueError, match="tree policy"):
-            CSFBackend(trees="forest")
+            CSFPlan(trees="forest")
 
-    def test_compute_ttmc_rows_subset(self, small_tensor_3d):
-        backend = CSFBackend()
+    @pytest.mark.parametrize("threads", [None, 2])
+    def test_compute_ttmc_rows_subset(self, small_tensor_3d, threads):
+        backend = CSFPlan(threads and ParallelConfig(num_threads=threads))
         opts = HOOIOptions(max_iterations=1, seed=0)
         eng = HOOIEngine(small_tensor_3d, self.RANKS, opts, backend=backend)
         eng.run()
@@ -338,7 +358,7 @@ class TestCSFBackends:
         np.testing.assert_allclose(block, full[rows], atol=1e-10)
 
     def test_compute_ttmc_rows_missing_rows_zero(self, small_tensor_3d):
-        backend = CSFBackend()
+        backend = CSFPlan()
         opts = HOOIOptions(max_iterations=1, seed=0)
         eng = HOOIEngine(small_tensor_3d, self.RANKS, opts, backend=backend)
         eng.run()
@@ -353,18 +373,24 @@ class TestCSFBackends:
 
 class TestResolver:
     def test_csf_format_resolves_csf_backends(self):
-        assert isinstance(
-            resolve_ttmc_backend(HOOIOptions(tensor_format="csf")), CSFBackend
-        )
+        inline = resolve_ttmc_backend(HOOIOptions(tensor_format="csf"))
+        assert (type(inline), inline.executor) == (CSFPlan, None)
         threaded = resolve_ttmc_backend(
             HOOIOptions(tensor_format="csf", execution="thread", num_workers=2)
         )
-        assert isinstance(threaded, ThreadedCSFBackend)
-        assert threaded.config.num_threads == 2
+        assert (type(threaded), threaded.executor) == (
+            CSFPlan, ParallelConfig(num_threads=2)
+        )
+        assert threaded.trees == "per-mode"
 
     def test_coo_format_unchanged(self):
         backend = resolve_ttmc_backend(HOOIOptions())
-        assert not isinstance(backend, CSFBackend)
+        assert (type(backend), backend.executor) == (COOPlan, None)
 
-    def test_threaded_forces_per_mode_trees(self):
-        assert ThreadedCSFBackend().trees == "per-mode"
+    def test_split_executors_need_per_mode_trees(self):
+        # Root-fiber slabs partition the output rows only over trees rooted
+        # at their target mode; a shared tree is inline-only.
+        assert CSFPlan(ParallelConfig(num_threads=2)).trees == "per-mode"
+        with pytest.raises(ValueError, match="per-mode"):
+            CSFPlan(ParallelConfig(num_threads=2), trees="shared")
+        assert CSFPlan(ParallelConfig(num_threads=1), trees="shared").executor is None

@@ -35,11 +35,10 @@ from repro.core import (
 )
 from repro.data import planted_lowrank_tensor
 from repro.engine import (
+    COOPlan,
     DimensionTree,
-    DimTreeBackend,
+    DimTreePlan,
     HOOIEngine,
-    SequentialBackend,
-    ThreadedDimTreeBackend,
     WorkspacePool,
     resolve_ttmc_backend,
 )
@@ -311,7 +310,7 @@ class TestEquivalence:
         config = ParallelConfig(num_threads=3)
         for mode in range(tensor.order):
             expected = ttmc_matricized(tensor, factors, mode)
-            got = tree.leaf_matricized(mode, factors, parallel_config=config)
+            got = tree.leaf_matricized(mode, factors, executor=config)
             assert np.allclose(got, expected, atol=1e-10)
 
 
@@ -363,16 +362,17 @@ class TestLeafLocalRows:
 class TestStrategyPlumbing:
     def test_default_strategy_is_per_mode(self):
         assert HOOIOptions().ttmc_strategy == "per-mode"
-        assert isinstance(resolve_ttmc_backend(HOOIOptions()), SequentialBackend)
-        assert not isinstance(
-            resolve_ttmc_backend(HOOIOptions()), DimTreeBackend
-        )
+        backend = resolve_ttmc_backend(HOOIOptions())
+        assert (type(backend), backend.executor) == (COOPlan, None)
 
     def test_resolver_selects_dimtree_backends(self):
         options = HOOIOptions(ttmc_strategy="dimtree")
-        assert isinstance(resolve_ttmc_backend(options), DimTreeBackend)
+        inline = resolve_ttmc_backend(options)
+        assert (type(inline), inline.executor) == (DimTreePlan, None)
         threaded = resolve_ttmc_backend(options, ParallelConfig(num_threads=2))
-        assert isinstance(threaded, ThreadedDimTreeBackend)
+        assert (type(threaded), threaded.executor) == (
+            DimTreePlan, ParallelConfig(num_threads=2)
+        )
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError, match="ttmc_strategy"):
@@ -418,10 +418,10 @@ class TestStrategyPlumbing:
     def test_engine_with_dimtree_backend_directly(self, small_tensor_4d):
         options = HOOIOptions(max_iterations=3, seed=0)
         seq = HOOIEngine(
-            small_tensor_4d, (3, 3, 2, 2), options, backend=SequentialBackend()
+            small_tensor_4d, (3, 3, 2, 2), options, backend=COOPlan()
         ).run()
         dt = HOOIEngine(
-            small_tensor_4d, (3, 3, 2, 2), options, backend=DimTreeBackend()
+            small_tensor_4d, (3, 3, 2, 2), options, backend=DimTreePlan()
         ).run()
         assert np.allclose(seq.fit_history, dt.fit_history, atol=1e-10)
         for a, b in zip(seq.decomposition.factors, dt.decomposition.factors):

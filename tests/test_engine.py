@@ -14,9 +14,8 @@ from repro.core import HOOIOptions, SparseTensor, hooi
 from repro.data import planted_lowrank_tensor
 from repro.distributed import distributed_hooi
 from repro.engine import (
+    COOPlan,
     HOOIEngine,
-    SequentialBackend,
-    ThreadedBackend,
     WorkspacePool,
 )
 from repro.parallel import ParallelConfig, shared_hooi
@@ -35,7 +34,7 @@ class TestEngineDirect:
         options = HOOIOptions(max_iterations=3, init="random", seed=0)
         via_wrapper = hooi(small_tensor_3d, (5, 4, 3), options)
         via_engine = HOOIEngine(
-            small_tensor_3d, (5, 4, 3), options, backend=SequentialBackend()
+            small_tensor_3d, (5, 4, 3), options, backend=COOPlan()
         ).run()
         assert via_engine.fit_history == via_wrapper.fit_history
         for a, b in zip(
@@ -48,7 +47,7 @@ class TestEngineDirect:
         seq = HOOIEngine(medium_tensor_3d, 5, options).run()
         par = HOOIEngine(
             medium_tensor_3d, 5, options,
-            backend=ThreadedBackend(ParallelConfig(num_threads=3)),
+            backend=COOPlan(ParallelConfig(num_threads=3)),
         ).run()
         assert np.allclose(seq.fit_history, par.fit_history, atol=1e-9)
 

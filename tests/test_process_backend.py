@@ -3,13 +3,14 @@
 Contract: ``execution="process"`` matches the sequential backend to 1e-10
 (float64) for both ``ttmc_strategy`` values, respects the float32 dtype
 policy, degenerates cleanly at ``num_workers=1``, and — crucially for a
-shared-memory subsystem — never leaks segments: clean runs, double
-teardown and worker crashes must all leave ``/dev/shm`` empty and the
-resource tracker silent.
+shared-memory subsystem — never leaks segments or processes: clean runs,
+double teardown and worker crashes must all leave ``/dev/shm`` empty, no
+worker alive and the resource tracker silent.
 """
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import os
 import signal
 import subprocess
@@ -22,7 +23,7 @@ import pytest
 from repro.core import HOOIOptions, hooi
 from repro.core.symbolic import symbolic_ttmc
 from repro.core.ttmc import ttmc_matricized
-from repro.engine import ProcessBackend, ProcessDimTreeBackend, resolve_ttmc_backend
+from repro.engine import COOPlan, DimTreePlan, resolve_ttmc_backend
 from repro.parallel import (
     HOOIProcessPool,
     ProcessConfig,
@@ -30,6 +31,7 @@ from repro.parallel import (
     ShmView,
     WorkerCrashError,
 )
+from repro.parallel.process_pool import BatchJobSpec
 from repro.util.linalg import random_orthonormal
 
 RANKS = 5
@@ -48,13 +50,15 @@ def _per_mode_pool(tensor, num_workers=2, **kwargs):
     factors = [
         random_orthonormal(s, RANKS, seed=i) for i, s in enumerate(tensor.shape)
     ]
-    pool = HOOIProcessPool.for_per_mode(
-        tensor,
-        symbolic,
-        factors,
-        [RANKS] * tensor.order,
-        np.float64,
-        config=ProcessConfig(num_workers=num_workers, **kwargs),
+    spec = BatchJobSpec(
+        job=None,
+        tensor=tensor,
+        symbolic=symbolic,
+        factors=factors,
+        ranks=[RANKS] * tensor.order,
+    )
+    pool = HOOIProcessPool.for_per_mode_batch(
+        [spec], config=ProcessConfig(num_workers=num_workers, **kwargs)
     )
     return pool, factors, symbolic
 
@@ -138,25 +142,26 @@ class TestDegenerateAndResolver:
             assert np.array_equal(a, b)
 
     def test_num_workers_one_spawns_no_pool(self, small_tensor_3d):
+        # num_workers <= 1 resolves to the inline executor in one place.
         backend = resolve_ttmc_backend(
             HOOIOptions(execution="process", num_workers=1)
         )
-        assert isinstance(backend, ProcessBackend)
+        assert (type(backend), backend.executor) == (COOPlan, None)
         hooi(small_tensor_3d, 3, HOOIOptions(
             max_iterations=1, execution="process", num_workers=1))
         assert backend.pool is None
 
     def test_resolver_picks_process_backends(self):
-        assert isinstance(
-            resolve_ttmc_backend(HOOIOptions(execution="process", num_workers=2)),
-            ProcessBackend,
+        coo = resolve_ttmc_backend(HOOIOptions(execution="process", num_workers=2))
+        assert (type(coo), coo.executor) == (
+            COOPlan, ProcessConfig(num_workers=2)
         )
-        assert isinstance(
-            resolve_ttmc_backend(
-                HOOIOptions(execution="process", num_workers=2,
-                            ttmc_strategy="dimtree")
-            ),
-            ProcessDimTreeBackend,
+        dimtree = resolve_ttmc_backend(
+            HOOIOptions(execution="process", num_workers=2,
+                        ttmc_strategy="dimtree")
+        )
+        assert (type(dimtree), dimtree.executor) == (
+            DimTreePlan, ProcessConfig(num_workers=2)
         )
 
     def test_thread_execution_option(self, small_tensor_3d):
@@ -190,19 +195,19 @@ class TestDegenerateAndResolver:
 class TestTeardownAndLeaks:
     def test_engine_run_leaves_no_segments(self, small_tensor_3d):
         names_seen = []
-        original_prepare = ProcessBackend.prepare
+        original_prepare = COOPlan.prepare
 
         def spy(self, eng):
             original_prepare(self, eng)
             if self.pool is not None:
                 names_seen.extend(self.pool.segment_names)
 
-        ProcessBackend.prepare = spy
+        COOPlan.prepare = spy
         try:
             hooi(small_tensor_3d, 3, HOOIOptions(
                 max_iterations=2, execution="process", num_workers=2))
         finally:
-            ProcessBackend.prepare = original_prepare
+            COOPlan.prepare = original_prepare
         assert names_seen, "the run should have created shared segments"
         assert _leftover_segments(names_seen) == []
 
@@ -271,6 +276,81 @@ class TestTeardownAndLeaks:
         assert result.returncode == 0, result.stderr
         assert "leaked shared_memory" not in result.stderr
         assert "resource_tracker" not in result.stderr
+
+
+ONE_SHOT_PLANS = {
+    "coo": {},
+    "csf": {"tensor_format": "csf"},
+    "dimtree": {"ttmc_strategy": "dimtree"},
+}
+
+
+@pytest.fixture
+def pool_segments(monkeypatch):
+    """Every segment name the arenas built during the test can own.
+
+    Scoped by arena token, so segments of other processes on the machine
+    never count as leaks.
+    """
+    tokens = []
+    original_init = ShmArena.__init__
+
+    def recording_init(self, *args, **kwargs):
+        original_init(self, *args, **kwargs)
+        tokens.append(self.token)
+
+    monkeypatch.setattr(ShmArena, "__init__", recording_init)
+
+    def leftover():
+        base = Path("/dev/shm")
+        assert tokens, "the run should have built a shared arena"
+        if not base.exists():
+            return []
+        return [
+            path.name for path in base.iterdir()
+            if path.name.rsplit("-", 1)[0] in tokens
+        ]
+
+    return leftover
+
+
+class TestOneShotLifecycle:
+    """A one-shot run spawns a private worker crew and reaps it on exit."""
+
+    @pytest.mark.parametrize("plan", sorted(ONE_SHOT_PLANS))
+    def test_no_worker_or_segment_outlives_a_run(
+        self, small_tensor_3d, pool_segments, plan
+    ):
+        result = hooi(small_tensor_3d, 3, HOOIOptions(
+            max_iterations=2, execution="process", num_workers=2,
+            **ONE_SHOT_PLANS[plan]))
+        assert np.isfinite(result.fit)
+        assert mp.active_children() == []
+        assert pool_segments() == []
+
+    @pytest.mark.parametrize("plan", sorted(ONE_SHOT_PLANS))
+    def test_no_worker_or_segment_outlives_a_crash(
+        self, small_tensor_3d, pool_segments, plan
+    ):
+        calls = []
+
+        def kill_a_worker_before_mode_1():
+            # Called at the sweep start, then at every mode start: the third
+            # call comes after mode 0's chunks ran on the workers.
+            calls.append(None)
+            if len(calls) == 3:
+                victim = mp.active_children()[0]
+                os.kill(victim.pid, signal.SIGKILL)
+                victim.join(timeout=10)
+
+        with pytest.raises(WorkerCrashError):
+            hooi(small_tensor_3d, 3, HOOIOptions(
+                max_iterations=2, execution="process", num_workers=2,
+                **ONE_SHOT_PLANS[plan]),
+                cancel_check=kill_a_worker_before_mode_1)
+        assert len(calls) == 3
+        assert mp.active_children() == []
+        assert pool_segments() == []
 
 
 class TestGuards:

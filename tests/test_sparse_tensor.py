@@ -41,6 +41,35 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SparseTensor(np.array([[0, 0]]), np.array([1.0, 2.0]), (3, 3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_raises_at_the_boundary(self, bad):
+        indices = np.array([[0, 0, 0], [1, 2, 0], [2, 1, 1]])
+        values = np.array([1.0, bad, bad])
+        with pytest.raises(
+            ValueError, match=r"2 non-finite value\(s\).*coordinate \(1, 2, 0\)"
+        ):
+            SparseTensor(indices, values, (10, 10, 10))
+
+    def test_non_finite_never_reaches_decompose(self):
+        from repro import decompose
+
+        indices = np.array([[0, 0, 0], [1, 2, 3], [4, 5, 6]])
+        values = np.array([1.0, np.nan, 2.0])
+        # Rejected at construction, not as "SVD did not converge" after a
+        # full TTMc.
+        with pytest.raises(ValueError, match="non-finite"):
+            decompose(SparseTensor(indices, values, (10, 10, 10)), 3)
+
+    def test_read_tns_rejects_nan(self, tmp_path):
+        from repro.data import read_tns
+
+        path = tmp_path / "bad.tns"
+        path.write_text("1 1 1 1.5\n2 3 1 nan\n3 3 3 -inf\n")
+        with pytest.raises(
+            ValueError, match=r"2 non-finite value\(s\).*coordinate \(1, 2, 0\)"
+        ):
+            read_tns(path)
+
     def test_column_count_mismatch_raises(self):
         with pytest.raises(ValueError):
             SparseTensor(np.array([[0, 0]]), np.array([1.0]), (3, 3, 3))

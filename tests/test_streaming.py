@@ -104,6 +104,13 @@ class TestDeltaBatch:
         with pytest.raises(ValueError, match="negative"):
             DeltaBatch(np.array([[-1, 0]]), [1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_values(self, bad):
+        with pytest.raises(
+            ValueError, match=r"1 non-finite value\(s\).*coordinate \(3, 1\)"
+        ):
+            DeltaBatch(np.array([[0, 0], [3, 1]]), [1.0, bad])
+
     def test_extents(self):
         batch = DeltaBatch(np.array([[4, 1], [2, 6]]), [1.0, 2.0])
         assert batch.extents() == (5, 7)
