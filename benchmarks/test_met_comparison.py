@@ -29,7 +29,9 @@ def workload():
 
 @pytest.fixture(scope="module")
 def options():
-    return HOOIOptions(max_iterations=ITERATIONS, init="random", seed=0, tolerance=0.0)
+    # The paper compares MET against its per-mode TTMc (Algorithm 2).
+    return HOOIOptions(max_iterations=ITERATIONS, init="random", seed=0,
+                       tolerance=0.0, ttmc_strategy="per-mode")
 
 
 def test_hypertensor_hooi(benchmark, workload, options):

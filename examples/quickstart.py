@@ -67,8 +67,8 @@ def main() -> None:
           {k: f"{v:.3f}s" for k, v in result.timings.totals.items()})
 
     # ------------------------------------------------------------------ #
-    # 4. Shared-memory parallel HOOI (Algorithm 3): same numerics, threaded
-    #    TTMc over the symbolic update lists.  (The low-level driver is used
+    # 4. Shared-memory parallel HOOI (Algorithm 3): same numerics, the
+    #    TTMc's row-disjoint chunks on a thread team.  (The low-level driver is used
     #    here for its roofline report; `decompose(..., execution="thread")`
     #    runs the same backend.)
     # ------------------------------------------------------------------ #

@@ -65,7 +65,9 @@ TERMINATIONS = ("converged", "max_iters", "cancelled", "resumed")
 #: validated options object never carries a ``None`` axis;
 #: :func:`normalize_axis_fields` applies the same normalization to
 #: serialized option dicts (checkpoints written by pre-normalization builds
-#: may have recorded ``None`` spellings).
+#: may have recorded ``None`` spellings).  These are the values such old
+#: runs computed with, so ``ttmc_strategy`` maps to ``"per-mode"`` here even
+#: though a live ``None`` resolves by the default rule in :meth:`validate`.
 AXIS_DEFAULTS: Dict[str, str] = {
     "ttmc_strategy": "per-mode",
     "execution": "sequential",
@@ -95,18 +97,24 @@ class HOOIOptions:
 
     ``trsvd_method`` selects the factor-update solver: ``"lanczos"`` (the
     default, mirroring SLEPc), ``"randomized"`` (seeded Halko-style range
-    finder), ``"gram"`` (eigendecomposition of the small ``W × W`` Gram
-    matrix ``YᵀY`` — the right tool when the matricized width
-    ``W = ∏_{t≠n} R_t`` is small relative to ``I_n``, with a squared-spectrum
-    conditioning caveat; see :func:`repro.core.trsvd.gram_svd`) or
+    finder), ``"gram"`` (eigendecomposition of the Gram matrix on the short
+    side of ``Y_(n)`` — ``W × W`` with ``W = ∏_{t≠n} R_t`` when ``I_n ≥ W``,
+    ``I_n × I_n`` otherwise — with a squared-spectrum conditioning caveat;
+    see :func:`repro.core.trsvd.gram_svd`) or
     ``"dense"`` (full LAPACK SVD, small problems only).  ``dtype``
     is the engine's precision policy (``"float32"`` or ``"float64"``) applied
     to the tensor values, factors, TTMc and TRSVD operands alike.
-    ``ttmc_strategy`` selects how the sequential and shared-memory drivers
-    evaluate the TTMc phase: ``"per-mode"`` (each mode's chain recomputed
-    from scratch, the paper's Algorithm 2) or ``"dimtree"`` (memoized partial
-    chains on a binary dimension tree, :mod:`repro.engine.dimtree` — fewer
-    multiplies per sweep in exchange for resident semi-sparse intermediates).
+    ``ttmc_strategy`` selects how the drivers evaluate the TTMc phase:
+    ``"per-mode"`` (each mode's chain recomputed from scratch, the paper's
+    Algorithm 2 — the oracle every composition is checked against) or
+    ``"dimtree"`` (memoized partial chains on a binary dimension tree,
+    :mod:`repro.engine.dimtree` — fewer multiplies per sweep in exchange for
+    resident semi-sparse intermediates).  Left ``None``, :meth:`validate`
+    picks ``"dimtree"``, the fastest composition measured, except where it
+    cannot run or would lose a faster path: ``kernel="numba"`` (no compiled
+    dimension-tree kernels) and ``execution="process"`` (the persistent
+    worker crew batches per-mode jobs only) resolve to ``"per-mode"``.  An
+    explicit value is never rewritten.
     ``execution`` selects the single-node execution model: ``"sequential"``
     (default), ``"thread"`` (GIL-bound worker threads — the paper's work
     decomposition, limited wall-clock gain in CPython) or ``"process"``
@@ -151,7 +159,7 @@ class HOOIOptions:
     block_nnz: Optional[int] = None
     track_fit: bool = True
     dtype: str = "float64"
-    ttmc_strategy: str = "per-mode"
+    ttmc_strategy: Optional[str] = None
     execution: str = "sequential"
     num_workers: int = 1
     tensor_format: str = "coo"
@@ -204,12 +212,6 @@ class HOOIOptions:
                 f"unknown trsvd_method {self.trsvd_method!r}: expected one of "
                 f"{TRSVD_METHODS}"
             )
-        strategy = self.ttmc_strategy or "per-mode"
-        if strategy not in TTMC_STRATEGIES:
-            raise ValueError(
-                f"unknown ttmc_strategy {strategy!r}: expected 'per-mode' or "
-                "'dimtree'"
-            )
         execution = self.execution or "sequential"
         if execution not in EXECUTIONS:
             raise ValueError(
@@ -239,6 +241,18 @@ class HOOIOptions:
         if kernel not in KERNELS:
             raise ValueError(
                 f"unknown kernel {kernel!r}: expected one of {KERNELS}"
+            )
+        strategy = self.ttmc_strategy
+        if strategy is None:
+            # The default rule: the dimension tree wherever it runs and no
+            # faster path depends on per-mode — numba has no dimension-tree
+            # kernels, and the persistent crew batches per-mode jobs only.
+            per_mode = kernel == "numba" or execution == "process"
+            strategy = "per-mode" if per_mode else "dimtree"
+        if strategy not in TTMC_STRATEGIES:
+            raise ValueError(
+                f"unknown ttmc_strategy {strategy!r}: expected 'per-mode' or "
+                "'dimtree'"
             )
         fallback = self.fallback or "ladder"
         if fallback not in FALLBACK_POLICIES:

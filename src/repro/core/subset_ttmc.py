@@ -33,9 +33,11 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.kron import batch_kron_rows, kron_row_length
+from repro.core.symbolic import keyed_lex_order
 from repro.core.ttmc import default_block_size
 
 __all__ = [
+    "EDGE_BLOCK_BYTES",
     "FiberGrouping",
     "group_fibers",
     "group_fibers_presorted",
@@ -43,6 +45,13 @@ __all__ = [
     "kron_insert",
     "edge_update_groups",
 ]
+
+#: Scratch budget of one edge-update block: the widest per-block buffer (the
+#: Kronecker-inserted rows) stays under it.  Smaller than the per-mode TTMc's
+#: 64 MB because every block also gathers the parent payload and reduces
+#: into a temporary of similar size, and a smaller block stays in cache —
+#: 8 MB measured faster than 64 MB on the power-law bench tensor.
+EDGE_BLOCK_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -66,7 +75,7 @@ class FiberGrouping:
         may then read the parent payload through views instead of fancy
         gathers.  :func:`group_fibers_presorted` always produces contiguous
         groupings; :func:`group_fibers` never claims the flag (even when its
-        lexsort happens to be the identity) so the flag stays a structural
+        sort happens to be the identity) so the flag stays a structural
         guarantee, not a data-dependent accident.
     """
 
@@ -91,9 +100,11 @@ class FiberGrouping:
 def group_fibers(index_columns: np.ndarray) -> FiberGrouping:
     """Group rows of an ``(m, k)`` index array by their tuple value.
 
-    A single lexsort — O(m log m), done once per tree edge and reused by
-    every numeric pass — generalizing :func:`repro.core.symbolic.symbolic_ttmc`
-    from one mode to a mode subset.
+    One stable sort of the rows' mixed-radix keys — done once per tree edge
+    and reused by every numeric pass — generalizing
+    :func:`repro.core.symbolic.symbolic_ttmc` from one mode to a mode
+    subset.  The order is exactly a lexsort's (:func:`keyed_lex_order`,
+    which falls back to the lexsort when the key would overflow).
     """
     cols = np.asarray(index_columns, dtype=np.int64)
     if cols.ndim != 2:
@@ -107,17 +118,19 @@ def group_fibers(index_columns: np.ndarray) -> FiberGrouping:
             perm=np.empty(0, dtype=np.int64),
             segptr=np.zeros(1, dtype=np.int64),
         )
-    # lexsort's last key is primary: pass columns reversed so the lowest mode
-    # is the most significant and groups come out in ascending tuple order.
-    perm = np.lexsort(tuple(cols[:, c] for c in range(k - 1, -1, -1)))
-    perm = perm.astype(np.int64, copy=False)
-    sorted_cols = cols[perm]
+    # The lowest mode is the most significant, so groups come out in
+    # ascending tuple order.
+    perm, sorted_key = keyed_lex_order(cols)
     boundary = np.empty(m, dtype=bool)
     boundary[0] = True
-    np.any(sorted_cols[1:] != sorted_cols[:-1], axis=1, out=boundary[1:])
+    if sorted_key is None:
+        sorted_cols = cols[perm]
+        np.any(sorted_cols[1:] != sorted_cols[:-1], axis=1, out=boundary[1:])
+    else:
+        np.not_equal(sorted_key[1:], sorted_key[:-1], out=boundary[1:])
     starts = np.flatnonzero(boundary).astype(np.int64)
     segptr = np.concatenate([starts, [m]]).astype(np.int64)
-    return FiberGrouping(indices=sorted_cols[boundary], perm=perm, segptr=segptr)
+    return FiberGrouping(indices=cols[perm[starts]], perm=perm, segptr=segptr)
 
 
 def group_fibers_presorted(index_columns: np.ndarray) -> FiberGrouping:
@@ -127,7 +140,7 @@ def group_fibers_presorted(index_columns: np.ndarray) -> FiberGrouping:
     parent's index tuples are lex-sorted, any *prefix* of its columns is
     non-decreasing too, so equal tuples are already contiguous and in order.
     The permutation is then the identity and the segment boundaries fall out
-    of one vectorized row-change comparison — no lexsort.  This is how a
+    of one vectorized row-change comparison — no sort.  This is how a
     CSF-sourced dimension tree derives every left-child grouping (and, since
     :func:`group_fibers` emits sorted tuples, every deeper grouping of a COO
     tree's sorted internal nodes).
@@ -269,7 +282,9 @@ def edge_update_groups(
     counts = np.diff(grouping.segptr[group_start : group_stop + 1])
     local_rows = np.repeat(np.arange(count, dtype=np.int64), counts)
     if block_nnz is None:
-        block_nnz = default_block_size(child_width, itemsize=dtype.itemsize)
+        block_nnz = default_block_size(
+            child_width, budget_bytes=EDGE_BLOCK_BYTES, itemsize=dtype.itemsize
+        )
 
     for start in range(0, total, block_nnz):
         stop = min(start + block_nnz, total)

@@ -16,14 +16,61 @@ kernel fully vectorized (a gather + segment-sum) and is exactly the reusable
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.sparse_tensor import SparseTensor
 from repro.util.validation import check_axis
 
-__all__ = ["ModeSymbolic", "SymbolicTTMc", "symbolic_ttmc", "symbolic_all_modes"]
+__all__ = [
+    "ModeSymbolic",
+    "SymbolicTTMc",
+    "keyed_lex_order",
+    "symbolic_ttmc",
+    "symbolic_all_modes",
+]
+
+
+def _narrowest_unsigned(max_value: int) -> np.dtype:
+    """The narrowest unsigned integer dtype holding ``0..max_value``."""
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if max_value <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.uint64)
+
+
+def keyed_lex_order(
+    columns: np.ndarray,
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Stable lexicographic row order of a non-empty ``(m, k)`` integer array.
+
+    Returns ``(perm, sorted_key)``: ``perm`` is exactly the permutation
+    ``np.lexsort`` gives with column 0 most significant, and ``sorted_key``
+    holds one integer per row in ``perm`` order, equal exactly when the rows
+    are equal.  The rows are packed into one mixed-radix key over each
+    column's value span, cast to the narrowest unsigned dtype, and ordered
+    by one stable ``argsort`` — NumPy radix-sorts keys of 16 bits or less,
+    which covers every edge of a tensor whose mode pairs span ≤ 65536
+    index values.  Equal keys keep their input order, as lexsort's do, so
+    the permutation is identical.  When the key would overflow ``int64``
+    the multi-key lexsort runs instead and ``sorted_key`` is ``None``.
+    """
+    cols = np.asarray(columns)
+    lo = cols.min(axis=0)
+    span = [int(s) for s in cols.max(axis=0) - lo + 1]
+    total = 1
+    for s in span:
+        total *= s
+    if total - 1 > np.iinfo(np.int64).max:
+        perm = np.lexsort(cols.T[::-1])
+        return perm.astype(np.int64, copy=False), None
+    key = cols[:, 0] - lo[0]
+    for c in range(1, cols.shape[1]):
+        key = key * span[c] + (cols[:, c] - lo[c])
+    key = key.astype(_narrowest_unsigned(total - 1), copy=False)
+    perm = np.argsort(key, kind="stable").astype(np.int64, copy=False)
+    return perm, key[perm]
 
 
 @dataclass(frozen=True)
@@ -109,19 +156,21 @@ def symbolic_ttmc(tensor: SparseTensor, mode: int) -> ModeSymbolic:
 
     The construction is a single stable sort of the nonzero positions by their
     mode-``n`` index — O(nnz log nnz) — performed once and reused by every
-    numeric TTMc in every HOOI iteration.
+    numeric TTMc in every HOOI iteration.  The index is sorted as its
+    narrowest unsigned key (:func:`keyed_lex_order`), a radix sort for modes
+    of up to 65536 indices.
     """
     mode = check_axis(mode, tensor.order)
     idx = tensor.indices[:, mode]
-    perm = np.argsort(idx, kind="stable").astype(np.int64)
-    sorted_idx = idx[perm]
-    if sorted_idx.shape[0] == 0:
+    if idx.shape[0] == 0:
         return ModeSymbolic(
             mode=mode,
             rows=np.empty(0, dtype=np.int64),
-            perm=perm,
+            perm=np.empty(0, dtype=np.int64),
             rowptr=np.zeros(1, dtype=np.int64),
         )
+    perm, _ = keyed_lex_order(idx[:, None])
+    sorted_idx = idx[perm]
     boundary = np.empty(sorted_idx.shape, dtype=bool)
     boundary[0] = True
     np.not_equal(sorted_idx[1:], sorted_idx[:-1], out=boundary[1:])

@@ -18,9 +18,9 @@ Three solvers are provided:
   Krylov solvers SLEPc provides.
 * :func:`randomized_svd` — a randomized range finder with power iterations,
   useful as a cross-check and for the ablation benchmarks.
-* :func:`gram_svd` — ``eigh`` of the *small* ``W × W`` Gram matrix ``YᵀY``
-  plus the recovery ``U = Y V Σ⁻¹``; the fast path when the matricized
-  width ``W = ∏_{t≠n} R_t`` is small relative to ``I_n`` (it squares the
+* :func:`gram_svd` — ``eigh`` of the Gram matrix on the short side of
+  ``Y`` (``YᵀY`` when ``I_n ≥ W = ∏_{t≠n} R_t``, ``Y Yᵀ`` otherwise) plus
+  one GEMM recovering the other side; no iteration (it squares the
   spectrum, so trailing singular values lose accuracy — see its docstring).
 
 The iterative solvers report the number of operator applications so
@@ -171,7 +171,11 @@ def lanczos_svd(
     converged the factorization is (thick-)restarted from the current Ritz
     vectors, up to ``max_restarts`` times.  Convergence of triplet ``i`` is
     declared when its residual bound ``beta * |last Ritz component|`` falls
-    below ``tol * sigma_max``.
+    below ``tol * sigma_max``; the solver then restarts once more before
+    returning, so the triplets do not depend on which restart first met
+    ``tol``.  When the operand has at most twice the default subspace
+    columns (and no fewer rows), the right vectors span every column: one
+    exact pass, no restarts.
     """
     op = _as_operator(matrix)
     counter = op if isinstance(op, CountingOperator) else CountingOperator(op)
@@ -182,7 +186,15 @@ def lanczos_svd(
     rank = min(rank, m, n)
     if subspace is None:
         subspace = max(2 * rank + 4, rank + 8)
+        if n <= min(m, 2 * subspace):
+            # Right vectors spanning all n columns make the bidiagonalization
+            # exact in one pass, for no more matvecs than the restarts it
+            # replaces.
+            subspace = n
     subspace = int(min(max(subspace, rank + 1), min(m, n)))
+    # Exact without restarting: the right vectors span every column, or the
+    # requested rank already fills the subspace.
+    full = subspace == n or rank >= subspace
 
     rng = np.random.default_rng(seed)
     # Right starting vector.
@@ -195,7 +207,7 @@ def lanczos_svd(
     betas = np.zeros(subspace)
 
     total_restarts = 0
-    converged = False
+    converged = polished = False
     left = np.zeros((m, rank))
     right = np.zeros((n, rank))
     sigma = np.zeros(rank)
@@ -265,16 +277,20 @@ def lanczos_svd(
         threshold = tol * max(s[0], 1e-300)
         left = U[:, :subspace] @ P[:, :k]
         right = V[:, :subspace] @ Qt.T[:, :k]
-        # Stop on convergence, on the restart budget, or when the subspace
-        # already spans the whole problem (rank == subspace), in which case a
-        # thick restart has nothing left to add.
-        if (
-            np.all(residuals <= threshold)
-            or restart == max_restarts - 1
-            or rank >= subspace
-        ):
-            converged = bool(np.all(residuals <= threshold)) or rank >= subspace
+        # Stop one restart after the residuals first meet ``tol``, on the
+        # restart budget, or when the factorization is exact (``full``) and a
+        # restart has nothing left to add.  The extra restart keeps the
+        # result from depending on *which* restart first met ``tol``: a
+        # round-off-level change to the operand (another TTMc association,
+        # i.e. another composition) can move a residual lying near the
+        # threshold across it, Ritz vectors of consecutive restarts differ by
+        # up to ``tol``, and HOOI on a noisy tensor amplifies that into fit
+        # differences of ~5e-8 relative.
+        met = bool(np.all(residuals <= threshold))
+        if (met and polished) or restart == max_restarts - 1 or full:
+            converged = met or full
             break
+        polished = met
 
         # Thick restart: keep the top `rank` Ritz vectors plus the residual
         # direction V[:, subspace] and continue expanding.
@@ -354,21 +370,29 @@ def gram_svd(
     *,
     compute_right: bool = True,
 ) -> TRSVDResult:
-    """Truncated SVD through the *small* Gram matrix ``G = Yᵀ Y`` (``W × W``).
+    """Truncated SVD through the *smaller* Gram matrix of ``Y``.
 
-    HOOI's operand ``Y_(n)`` is tall and skinny: ``I_n`` rows (up to
-    millions) but only ``W = ∏_{t≠n} R_t`` columns.  When ``W`` is small
-    relative to ``I_n`` the cheapest factor update is one GEMM to form the
-    ``W × W`` Gram matrix, a dense ``eigh`` of it, and the recovery
-    ``U = Y V Σ⁻¹`` — no Lanczos iteration, no MxV/MTxV passes over the tall
-    operand.  (This is *not* the ``Y Yᵀ`` Gram of side ``I_n`` the paper
-    argues against — that one is quadratic in the long dimension.)
+    HOOI's operand ``Y_(n)`` has ``I_n`` rows and ``W = ∏_{t≠n} R_t``
+    columns.  The cheapest factor update is one GEMM forming the Gram
+    matrix on the short side, a dense ``eigh`` of it, and one GEMM
+    recovering the other side's vectors — no Lanczos iteration, no
+    MxV/MTxV passes:
+
+    * ``I_n ≥ W`` (tall, the usual case at scale): ``G = Yᵀ Y`` is
+      ``W × W``, its eigenvectors are ``V`` and ``U = Y V Σ⁻¹``;
+    * ``I_n < W`` (wide — every mode of a small tensor at ranks whose
+      product exceeds its dimensions): ``G = Y Yᵀ`` is ``I_n × I_n``, its
+      eigenvectors are ``U`` and ``V = Yᵀ U Σ⁻¹``.
+
+    Either way the Gram side is the short one, so this is never the
+    ``Y Yᵀ`` of a long side that the paper argues against.
 
     Conditioning caveat: the Gram matrix squares the spectrum, so singular
     values below roughly ``√ε · σ_max`` are lost to rounding and their
-    vectors are unreliable.  Numerically tiny directions are repaired by
-    re-orthonormalization (random completion), keeping ``U`` orthonormal;
-    prefer ``"lanczos"`` when trailing singular values matter.
+    vectors are unreliable.  Numerically tiny directions of the recovered
+    side are repaired by re-orthonormalization (random completion), keeping
+    both ``U`` and ``V`` orthonormal; prefer ``"lanczos"`` when trailing
+    singular values matter.
     """
     dense = as_supported_float(np.asarray(matrix))
     if dense.ndim != 2:
@@ -378,15 +402,21 @@ def gram_svd(
     if rank <= 0:
         raise ValueError("rank must be positive")
     rank = min(rank, m, n)
-    # The big GEMM runs in the operand's dtype policy; the small W x W
-    # eigenproblem is always solved in float64 for stability.
-    gram = np.asarray(dense.T @ dense, dtype=np.float64)
+    wide = m < n
+    # The Gram side is the short one: ``operand`` maps its eigenvectors to
+    # the long side's (U = Y V Σ⁻¹ when tall, V = Yᵀ U Σ⁻¹ when wide).
+    operand = dense.T if wide else dense
+    # The big GEMM runs in the operand's dtype policy; the small eigenproblem
+    # is always solved in float64 for stability.
+    gram = np.asarray(operand.T @ operand, dtype=np.float64)
     eigvals, eigvecs = np.linalg.eigh(gram)
     lead = np.argsort(eigvals)[::-1][:rank]
     sigma = np.sqrt(np.clip(eigvals[lead], 0.0, None))
-    right = np.ascontiguousarray(eigvecs[:, lead])
-    left = np.asarray(
-        dense @ right.astype(dense.dtype, copy=False), dtype=np.float64
+    short = np.ascontiguousarray(eigvecs[:, lead])
+    if wide and not compute_right:
+        return _gram_result(short, sigma, None)
+    recovered = np.asarray(
+        operand @ short.astype(dense.dtype, copy=False), dtype=np.float64
     )
     # The Gram matrix's eigenvalues carry an absolute error of order
     # eps * sigma_max^2, so singular values below ~sqrt(eps) * sigma_max are
@@ -395,16 +425,22 @@ def gram_svd(
         sigma[0] if rank else 0.0
     )
     safe = sigma > tol
-    left[:, safe] /= sigma[safe]
+    recovered[:, safe] /= sigma[safe]
     if not np.all(safe):
         # Directions squashed by the squared spectrum: zero them out and let
         # the orthonormalization complete the basis with random directions.
-        left[:, ~safe] = 0.0
-        left = orthonormalize(left)
+        recovered[:, ~safe] = 0.0
+        recovered = orthonormalize(recovered)
+    if wide:
+        return _gram_result(short, sigma, recovered)
+    return _gram_result(recovered, sigma, short if compute_right else None)
+
+
+def _gram_result(left, sigma, right) -> TRSVDResult:
     return TRSVDResult(
         left=np.ascontiguousarray(left),
         singular_values=np.ascontiguousarray(sigma),
-        right=right if compute_right else None,
+        right=None if right is None else np.ascontiguousarray(right),
         iterations=1,
         matvecs=0,
         rmatvecs=0,
@@ -423,9 +459,9 @@ def truncated_svd(
 
     ``method`` is one of ``"lanczos"`` (default), ``"randomized"``, ``"dense"``
     (full LAPACK SVD — only for small matrices / tests), or ``"gram"``
-    (:func:`gram_svd`: ``eigh`` of the small ``W × W`` Gram matrix ``YᵀY``
-    plus the recovery ``U = Y V Σ⁻¹`` — the fast path for tall-and-skinny
-    operands, with a squared-spectrum conditioning caveat).
+    (:func:`gram_svd`: ``eigh`` of the Gram matrix on the short side of
+    ``Y`` plus one GEMM recovering the other side's vectors — no iteration,
+    with a squared-spectrum conditioning caveat).
     """
     # Fault point "trsvd": the factor update of every mode of every sweep
     # (see repro.resilience.faults; a single module-global None check when

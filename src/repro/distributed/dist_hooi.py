@@ -206,9 +206,9 @@ class DistributedBackend(ExecutionBackend):
         # ``plan.local_tensor``) — per-mode symbolic data or a rank-local
         # dimension tree, sequential or nested worker threads.
         self.local_backend = resolve_ttmc_backend(eng.options)
-        strategy = eng.options.ttmc_strategy or "per-mode"
-        tensor_format = eng.options.tensor_format or "coo"
-        if strategy == "per-mode" and tensor_format == "coo":
+        if (eng.options.ttmc_strategy, eng.options.tensor_format) == (
+            "per-mode", "coo"
+        ):
             # The plan already built this rank's symbolic TTMc data
             # (index-only, so the dtype cast is irrelevant); seed the
             # backend instead of redoing the per-mode argsorts.

@@ -603,7 +603,7 @@ class DimTreePlan(ExecutionBackend):
     ``prepare`` builds a :class:`~repro.engine.dimtree.DimensionTree` in
     place of the per-mode symbolic step — over the CSF fiber hierarchy
     (contiguous, gather-free edge updates) when ``tensor_format="csf"``,
-    per-edge lexsorts otherwise; both serve identical ``Y_(n)``.  Each
+    per-edge keyed sorts otherwise; both serve identical ``Y_(n)``.  Each
     TRSVD bumps the refreshed factor's version so stale partial chains are
     recomputed on their next use.  A chunk is a range of one stale edge's
     child fibers (:func:`~repro.core.subset_ttmc.edge_update_groups`); with
@@ -660,8 +660,8 @@ class DimTreePlan(ExecutionBackend):
 
 
 def ttmc_plan(options) -> type:
-    """The TTMc plan ``ttmc_strategy`` and ``tensor_format`` select."""
-    if (options.ttmc_strategy or "per-mode") == "dimtree":
+    """The TTMc plan validated ``ttmc_strategy`` and ``tensor_format`` select."""
+    if options.ttmc_strategy == "dimtree":
         return DimTreePlan
     fmt = getattr(options, "tensor_format", "coo") or "coo"
     return CSFPlan if fmt == "csf" else COOPlan

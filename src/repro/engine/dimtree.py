@@ -30,7 +30,7 @@ non-root node exactly once regardless of mode order.
 
 Symbolic sources
 ----------------
-The tree's groupings come either from per-edge lexsorts over the COO index
+The tree's groupings come either from per-edge keyed sorts over the COO index
 matrix (``source="coo"``) or from a CSF fiber hierarchy with the identity
 mode order (``source="csf"``): the CSF levels then coincide with the tree's
 contiguous mode ranges, every left-child edge inherits contiguous,
@@ -41,16 +41,20 @@ with ``ttmc_strategy="dimtree"`` across all execution models.
 
 Memory
 ------
-Node payloads live in the engine's :class:`~repro.engine.workspace.WorkspacePool`
-(one buffer per node, reused across iterations), trading
-``Σ_nodes fibers × ∏ranks`` of resident memory for the recomputation the
-per-mode strategy performs — the tradeoff ``HOOIOptions.ttmc_strategy``
-selects.
+Each node owns its payload buffer (allocated on its first evaluation and
+refilled in place afterwards), trading ``Σ_nodes fibers × ∏ranks`` of
+resident memory for the recomputation the per-mode strategy performs — the
+tradeoff ``HOOIOptions.ttmc_strategy`` selects.  Only the per-block edge
+scratch comes from the engine's
+:class:`~repro.engine.workspace.WorkspacePool`.  Nodes refer to their parent
+weakly, so the tree holds no reference cycle: dropping the tree frees its
+index columns, groupings and payloads at once, without waiting for the
+cyclic garbage collector.
 """
 
 from __future__ import annotations
 
-from itertools import count as _instance_counter
+import weakref
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -69,8 +73,6 @@ from repro.util.validation import check_axis
 
 __all__ = ["DimTreeNode", "DimensionTree"]
 
-_TREE_IDS = _instance_counter()
-
 
 class DimTreeNode:
     """One node of the dimension tree: a contiguous free-mode range + cache."""
@@ -79,7 +81,7 @@ class DimTreeNode:
         "node_id",
         "lo",
         "hi",
-        "parent",
+        "_parent",
         "left",
         "right",
         "sibling_modes",
@@ -91,13 +93,16 @@ class DimTreeNode:
         "cache_dtype",
         "cache_ranks",
         "dep_versions",
+        "__weakref__",
     )
 
     def __init__(self, node_id: int, lo: int, hi: int, parent: Optional["DimTreeNode"]):
         self.node_id = node_id
         self.lo = lo
         self.hi = hi
-        self.parent = parent
+        # Weak, so parent <-> child links form no reference cycle; the tree's
+        # ``nodes`` list keeps every node alive while the tree is.
+        self._parent = None if parent is None else weakref.ref(parent)
         self.left: Optional["DimTreeNode"] = None
         self.right: Optional["DimTreeNode"] = None
         self.sibling_modes: Tuple[int, ...] = ()
@@ -109,6 +114,11 @@ class DimTreeNode:
         self.cache_dtype: Optional[np.dtype] = None
         self.cache_ranks: Optional[Tuple[int, ...]] = None
         self.dep_versions: Optional[Tuple[int, ...]] = None
+
+    @property
+    def parent(self) -> Optional["DimTreeNode"]:
+        """The node one level up (``None`` at the root)."""
+        return None if self._parent is None else self._parent()
 
     @property
     def modes(self) -> Tuple[int, ...]:
@@ -130,7 +140,7 @@ class DimTreeNode:
 class DimensionTree:
     """Symbolic dimension tree plus the per-factor-version payload cache.
 
-    Built once per tensor (a lexsort per edge, the analogue of the per-mode
+    Built once per tensor (a keyed sort per edge, the analogue of the per-mode
     symbolic step); :meth:`leaf_matricized` then serves any mode's ``Y_(n)``,
     recomputing only the stale part of the root-to-leaf path, and
     :meth:`invalidate_factor` must be called whenever a factor matrix is
@@ -140,7 +150,7 @@ class DimensionTree:
     ``source`` selects where the symbolic structure comes from:
 
     * ``"coo"`` (default) — the tree's root is the tensor's raw index matrix
-      and every edge grouping is a :func:`group_fibers` lexsort.
+      and every edge grouping is a :func:`group_fibers` keyed sort.
     * ``"csf"`` — the tree is built over a CSF fiber hierarchy
       (:class:`~repro.sparse.csf.CSFTensor` with the *identity* mode order,
       so the CSF levels coincide with the tree's contiguous mode ranges).
@@ -172,7 +182,6 @@ class DimensionTree:
         self.shape = tensor.shape
         self.order = tensor.order
         self.source = source
-        self._token = f"dimtree{next(_TREE_IDS)}"
         if source == "csf":
             from repro.sparse.csf import CSFTensor
 
@@ -229,7 +238,7 @@ class DimensionTree:
                 # Left child of a lex-sorted parent: its grouping columns are
                 # a prefix of the sort key, so the groups are already
                 # contiguous and ordered — the CSF change-flag walk replaces
-                # the lexsort (and marks the grouping contiguous, unlocking
+                # the sort (and marks the grouping contiguous, unlocking
                 # the sliced edge-update fast path).
                 node.grouping = group_fibers_presorted(parent_index_cols[:, rel])
             else:
@@ -313,9 +322,10 @@ class DimensionTree:
 
         Matches :func:`repro.core.ttmc.ttmc_matricized` in shape, column
         order and dtype promotion.  ``factors[mode]`` is never multiplied and
-        may be ``None``.  ``workspace`` supplies the node payload and scratch
-        buffers.  ``executor`` says where a stale edge's fiber chunks run:
-        ``None`` inline, a :class:`~repro.parallel.parallel_for.ParallelConfig`
+        may be ``None``.  ``workspace`` supplies the per-block edge scratch
+        (node payloads are the tree's own).  ``executor`` says where a stale
+        edge's fiber chunks run: ``None`` inline, a
+        :class:`~repro.parallel.parallel_for.ParallelConfig`
         on a thread team (lock-free: each child fiber row has one writer), or
         a :class:`~repro.parallel.process_pool.HOOIProcessPool` built by
         ``for_dimtree``, which owns the shared payload buffers and refines
@@ -459,11 +469,8 @@ class DimensionTree:
                     f"payload for node {node.node_id}, expected {shape}/{dtype}"
                 )
         else:
-            if workspace is not None:
-                payload = workspace.take(
-                    shape, dtype, tag=f"{self._token}-node{node.node_id}"
-                )
-            else:
+            payload = node.payload
+            if payload is None or payload.shape != shape or payload.dtype != dtype:
                 payload = np.empty(shape, dtype=dtype)
 
             def chunk(start: int, stop: int, workspace=None) -> None:

@@ -38,7 +38,7 @@ from repro.core.hooi import HOOIOptions, HOOIResult
 from repro.core.sparse_tensor import resolve_dtype
 from repro.core.trsvd import TRSVDResult
 from repro.core.tucker import TuckerTensor
-from repro.engine.backend import COOPlan, ExecutionBackend
+from repro.engine.backend import ExecutionBackend, resolve_ttmc_backend
 from repro.engine.workspace import WorkspacePool
 from repro.util.timing import TimingBreakdown
 from repro.util.validation import check_rank_vector
@@ -67,7 +67,9 @@ class HOOIEngine:
     public state: ``tensor``, ``shape``, ``ranks``, ``order``, ``options``,
     ``dtype``, ``factors``, ``workspace``, ``timings``.  After :meth:`run`,
     ``iteration_seconds`` holds the measured wall time of each iteration's
-    sweep + core phases (what the scaling experiments report).
+    sweep + core phases (what the scaling experiments report).  Without a
+    ``backend`` the engine runs the one the options resolve to
+    (:func:`~repro.engine.backend.resolve_ttmc_backend`), as :func:`hooi` does.
     """
 
     def __init__(
@@ -80,7 +82,7 @@ class HOOIEngine:
         workspace: Optional[WorkspacePool] = None,
     ) -> None:
         self.options = options or HOOIOptions()
-        self.backend = backend or COOPlan()
+        self.backend = backend or resolve_ttmc_backend(self.options)
         self.dtype = resolve_dtype(self.options.dtype)
         self.tensor = tensor
         self.shape = tuple(int(s) for s in tensor.shape)

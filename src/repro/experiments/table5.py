@@ -79,7 +79,9 @@ def run_table5(
                 report = shared_hooi(
                     tensor,
                     ranks,
-                    HOOIOptions(max_iterations=iterations, init="random", seed=seed),
+                    # The per-mode TTMc the Table V node model predicts.
+                    HOOIOptions(max_iterations=iterations, init="random",
+                                seed=seed, ttmc_strategy="per-mode"),
                     config=ParallelConfig(num_threads=threads),
                     node_model=node_model,
                 )

@@ -74,17 +74,17 @@ def pooled_eligible(job: Job) -> bool:
     pullups over shared-memory CSF trees (members of one batch can mix
     formats).  Only the dimension-tree strategy falls back to
     :func:`run_direct` — it keeps its dedicated fiber-parallel arena
-    layout and one-shot pool-per-run lifecycle.
+    layout and one-shot pool-per-run lifecycle.  Process jobs that leave
+    ``ttmc_strategy`` unset resolve to ``"per-mode"``
+    (:meth:`~repro.core.hooi.HOOIOptions.validate`), which is why they pool;
+    an explicit ``"dimtree"`` runs direct.
 
     Judged on the job's *effective* options: a job the degradation ladder
     moved off the process tier routes through :func:`run_direct` from then
     on, whatever its request asked for.
     """
     opts = job.effective_options
-    return (
-        opts.execution == "process"
-        and (opts.ttmc_strategy or "per-mode") == "per-mode"
-    )
+    return opts.execution == "process" and opts.ttmc_strategy == "per-mode"
 
 
 def _classify(job: Job, exc: BaseException) -> Outcome:

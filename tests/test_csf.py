@@ -373,10 +373,11 @@ class TestCSFBackends:
 
 class TestResolver:
     def test_csf_format_resolves_csf_backends(self):
-        inline = resolve_ttmc_backend(HOOIOptions(tensor_format="csf"))
+        per_mode = dict(tensor_format="csf", ttmc_strategy="per-mode")
+        inline = resolve_ttmc_backend(HOOIOptions(**per_mode))
         assert (type(inline), inline.executor) == (CSFPlan, None)
         threaded = resolve_ttmc_backend(
-            HOOIOptions(tensor_format="csf", execution="thread", num_workers=2)
+            HOOIOptions(**per_mode, execution="thread", num_workers=2)
         )
         assert (type(threaded), threaded.executor) == (
             CSFPlan, ParallelConfig(num_threads=2)
@@ -384,7 +385,7 @@ class TestResolver:
         assert threaded.trees == "per-mode"
 
     def test_coo_format_unchanged(self):
-        backend = resolve_ttmc_backend(HOOIOptions())
+        backend = resolve_ttmc_backend(HOOIOptions(ttmc_strategy="per-mode"))
         assert (type(backend), backend.executor) == (COOPlan, None)
 
     def test_split_executors_need_per_mode_trees(self):

@@ -8,7 +8,10 @@ Covers the tentpole contract of the dimtree backend:
   references;
 * cache invalidation — after refreshing a factor, exactly the root-to-leaf
   path of that mode stays fresh, a steady HOOI sweep recomputes each
-  non-root node once, and pooled node buffers stop allocating after warm-up;
+  non-root node once, and the pooled edge scratch stops allocating after
+  warm-up and stays within two block budgets;
+* memory lifetime — a finished run's tree is freed without the cyclic
+  garbage collector;
 * numeric equivalence of ``dimtree`` vs ``per-mode`` TTMc results and final
   HOOI fits on random and structured low-rank tensors in both dtypes
   (float64 to 1e-10; float32 to 1e-10 on exactly-representable data, where
@@ -198,6 +201,58 @@ class TestCacheInvalidation:
             tree.leaf_matricized(mode, factors)
         assert tree.edge_updates == before
 
+    def test_finished_run_frees_tree_without_cyclic_gc(self, monkeypatch):
+        """Nodes link to their parent weakly: no cycle keeps a tree alive."""
+        import gc
+        import weakref
+
+        from repro.engine import dimtree
+
+        refs = []
+        build = dimtree.DimensionTree.__init__
+
+        def recording(self, *args, **kwargs):
+            build(self, *args, **kwargs)
+            refs.append(weakref.ref(self))
+            refs.extend(weakref.ref(node) for node in self.nodes)
+
+        monkeypatch.setattr(dimtree.DimensionTree, "__init__", recording)
+        tensor = _random_tensor((12, 10, 8, 6), 400, seed=9)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            result = hooi(tensor, 2, HOOIOptions(
+                max_iterations=2, ttmc_strategy="dimtree",
+            ))
+            assert len(refs) == 1 + 7  # the tree and its seven nodes
+            assert all(ref() is None for ref in refs)
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert result.fit_history
+
+    def test_edge_scratch_stays_within_two_blocks(self):
+        """Every edge shares two capacity-keyed scratch buffers."""
+        from repro.core.subset_ttmc import EDGE_BLOCK_BYTES
+
+        shape, ranks = (60, 50, 40, 30), (8, 8, 8, 8)
+        tensor = _random_tensor(shape, 60_000, seed=4)
+        factors = _factors(shape, ranks)
+        tree = DimensionTree(tensor)
+        pool = WorkspacePool()
+        for mode in range(tensor.order):
+            tree.leaf_matricized(mode, factors, workspace=pool)
+            tree.invalidate_factor(mode)
+        # An edge's inserted rows (one per parent fiber, at the child's
+        # width) exceed the budget, so the blocking is binding.
+        widest = max(
+            node.grouping.num_parents * node.payload[:1].nbytes
+            for node in tree.nodes if node is not tree.root
+        )
+        assert widest > 2 * EDGE_BLOCK_BYTES
+        # Node payloads are the tree's own; the pool holds only the scratch.
+        assert pool.nbytes() <= 2 * EDGE_BLOCK_BYTES
+
     def test_pooled_node_buffers_stop_allocating(self, tensor, factors):
         tree = DimensionTree(tensor)
         pool = WorkspacePool()
@@ -281,7 +336,9 @@ class TestEquivalence:
     def test_hooi_fit_matches_per_mode(self, dtype):
         tensor, _ = planted_lowrank_tensor((24, 20, 16, 12), (3, 3, 2, 2), 2500, seed=2)
         options = dict(max_iterations=4, init="hosvd", seed=0, dtype=dtype)
-        per_mode = hooi(tensor, (3, 3, 2, 2), HOOIOptions(**options))
+        per_mode = hooi(
+            tensor, (3, 3, 2, 2), HOOIOptions(ttmc_strategy="per-mode", **options)
+        )
         dimtree = hooi(
             tensor, (3, 3, 2, 2),
             HOOIOptions(ttmc_strategy="dimtree", **options),
@@ -294,7 +351,9 @@ class TestEquivalence:
     def test_hooi_fit_matches_on_random_tensor(self):
         tensor = _random_tensor((30, 24, 18), 2500, seed=8)
         options = dict(max_iterations=4, seed=0)
-        per_mode = hooi(tensor, (4, 4, 3), HOOIOptions(**options))
+        per_mode = hooi(
+            tensor, (4, 4, 3), HOOIOptions(ttmc_strategy="per-mode", **options)
+        )
         dimtree = hooi(
             tensor, (4, 4, 3), HOOIOptions(ttmc_strategy="dimtree", **options)
         )
@@ -360,10 +419,10 @@ class TestLeafLocalRows:
 
 
 class TestStrategyPlumbing:
-    def test_default_strategy_is_per_mode(self):
-        assert HOOIOptions().ttmc_strategy == "per-mode"
+    def test_default_strategy_is_dimtree(self):
+        assert HOOIOptions().validate().ttmc_strategy == "dimtree"
         backend = resolve_ttmc_backend(HOOIOptions())
-        assert (type(backend), backend.executor) == (COOPlan, None)
+        assert (type(backend), backend.executor) == (DimTreePlan, None)
 
     def test_resolver_selects_dimtree_backends(self):
         options = HOOIOptions(ttmc_strategy="dimtree")
@@ -391,7 +450,8 @@ class TestStrategyPlumbing:
         tensor = _random_tensor((12, 10, 8), 300, seed=5)
         partition = make_partition(tensor, 2, "coarse-bl")
         per_mode = distributed_hooi(
-            tensor, 2, partition, HOOIOptions(max_iterations=2, seed=0)
+            tensor, 2, partition,
+            HOOIOptions(max_iterations=2, seed=0, ttmc_strategy="per-mode"),
         )
         dimtree = distributed_hooi(
             tensor, 2, partition,
@@ -405,7 +465,8 @@ class TestStrategyPlumbing:
         options = dict(max_iterations=3, init="hosvd", seed=0)
         config = ParallelConfig(num_threads=2)
         per_mode = shared_hooi(
-            medium_tensor_3d, 5, HOOIOptions(**options), config=config
+            medium_tensor_3d, 5,
+            HOOIOptions(ttmc_strategy="per-mode", **options), config=config,
         )
         dimtree = shared_hooi(
             medium_tensor_3d, 5,

@@ -225,7 +225,8 @@ class TestDistributedHOOI:
 
 
 HYBRID_CONFIGS = {
-    "thread-per-mode": dict(execution="thread", num_workers=3),
+    "thread-per-mode": dict(execution="thread", num_workers=3,
+                            ttmc_strategy="per-mode"),
     "thread-dimtree": dict(execution="thread", num_workers=3,
                            ttmc_strategy="dimtree"),
 }
@@ -277,7 +278,8 @@ class TestHybridExecution:
         partition = make_partition(tensor, 4, partition_strategy, seed=1)
         base = dict(max_iterations=3, init="random", seed=0)
         per_mode = distributed_hooi(
-            tensor, ranks, partition, HOOIOptions(**base)
+            tensor, ranks, partition,
+            HOOIOptions(**base, ttmc_strategy="per-mode"),
         )
         dimtree = distributed_hooi(
             tensor, ranks, partition,
@@ -316,7 +318,9 @@ class TestHybridExecution:
         )
         partition = make_partition(tensor, 3, "coarse-bl")
         base = dict(max_iterations=2, init="random", seed=0)
-        per_mode = distributed_hooi(tensor, 2, partition, HOOIOptions(**base))
+        per_mode = distributed_hooi(
+            tensor, 2, partition, HOOIOptions(**base, ttmc_strategy="per-mode")
+        )
         for config in HYBRID_CONFIGS.values():
             hybrid = distributed_hooi(
                 tensor, 2, partition, HOOIOptions(**base, **config)

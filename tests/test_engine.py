@@ -31,7 +31,9 @@ def lowrank():
 
 class TestEngineDirect:
     def test_engine_matches_hooi_wrapper(self, small_tensor_3d):
-        options = HOOIOptions(max_iterations=3, init="random", seed=0)
+        options = HOOIOptions(
+            max_iterations=3, init="random", seed=0, ttmc_strategy="per-mode"
+        )
         via_wrapper = hooi(small_tensor_3d, (5, 4, 3), options)
         via_engine = HOOIEngine(
             small_tensor_3d, (5, 4, 3), options, backend=COOPlan()
@@ -170,7 +172,7 @@ class TestDtypePolicy:
         pool = WorkspacePool()
         hooi(lowrank, self.RANKS, self._options("float32"), workspace=pool)
         assert pool.num_buffers > 0
-        assert all(key[2] == np.float32 for key in pool._buffers)
+        assert all(dtype == np.float32 for _tag, dtype in pool._buffers)
 
     def test_met_baseline_respects_dtype_policy(self, lowrank):
         """Regression: the TTM-chain baseline must not mix core/factor dtypes."""
@@ -203,6 +205,24 @@ class TestWorkspacePool:
         c = pool.take((4, 5), np.float32)
         assert c is not a
         assert pool.allocations == 2
+
+    def test_tail_block_and_narrower_width_reuse_first_buffer(self):
+        """Scratch is keyed by (tag, dtype) with an element capacity."""
+        pool = WorkspacePool()
+        first = pool.take((1000, 64), tag="kron-scratch")
+        tail = pool.take((300, 64), tag="kron-scratch")
+        narrow = pool.take((1000, 16), tag="kron-scratch")
+        assert pool.allocations == 1 and pool.reuses == 2
+        assert pool.nbytes() == first.nbytes
+        for view in (tail, narrow):
+            assert np.shares_memory(view, first)
+            assert view.flags.c_contiguous
+        # A repeated shape returns the pooled object itself.
+        assert pool.take((1000, 16), tag="kron-scratch") is narrow
+        # Only a request beyond the capacity allocates again.
+        grown = pool.take((2000, 64), tag="kron-scratch")
+        assert pool.allocations == 2
+        assert pool.nbytes() == grown.nbytes
 
     def test_zeros_clears_content(self):
         pool = WorkspacePool()

@@ -131,7 +131,9 @@ class TestDtypePolicy:
 
 class TestDegenerateAndResolver:
     def test_num_workers_one_matches_sequential_exactly(self, small_tensor_3d):
-        options = dict(max_iterations=3, init="hosvd", seed=0)
+        # Process execution defaults to per-mode; so must the baseline.
+        options = dict(max_iterations=3, init="hosvd", seed=0,
+                       ttmc_strategy="per-mode")
         seq = hooi(small_tensor_3d, 3, HOOIOptions(**options))
         proc = hooi(
             small_tensor_3d, 3,

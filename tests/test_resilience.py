@@ -175,11 +175,14 @@ class TestResume:
         run says ``"per-mode"``.  Those are the same configuration;
         ``check_resume_compatible`` must not reject the resume over a
         spelling split (it normalizes both sides via
-        :func:`repro.core.hooi.normalize_axis_fields`).
+        :func:`repro.core.hooi.normalize_axis_fields`).  Old builds ran
+        per-mode, which is what a recorded ``None`` strategy means, so the
+        runs here name ``ttmc_strategy="per-mode"``.
         """
         t = _tensor()
         hooi(t, 4, HOOIOptions(
-            max_iterations=2, checkpoint_dir=str(tmp_path), **GRAM
+            max_iterations=2, checkpoint_dir=str(tmp_path),
+            ttmc_strategy="per-mode", **GRAM
         ))
         ck = Checkpointer(tmp_path)
         state = ck.load()
@@ -191,7 +194,34 @@ class TestResume:
             assert state.options[key] is not None  # new builds are concrete
             state.options[key] = None
         res = hooi(t, 4, HOOIOptions(
-            max_iterations=5, checkpoint_dir=str(tmp_path), **GRAM
+            max_iterations=5, checkpoint_dir=str(tmp_path),
+            ttmc_strategy="per-mode", **GRAM
+        ), resume=state)
+        assert res.resumed_sweeps == 2
+        assert res.completed_sweeps == 5
+
+    def test_pre_dimtree_default_checkpoint_needs_per_mode(self, tmp_path):
+        """A checkpoint of a default run from before the dimtree default.
+
+        Such runs computed (and recorded) ``ttmc_strategy="per-mode"``.
+        Resuming under today's default would switch the TTMc strategy
+        mid-run, so it is refused with the mismatched option named; naming
+        ``"per-mode"`` resumes it.
+        """
+        t = _tensor()
+        hooi(t, 4, HOOIOptions(
+            max_iterations=2, checkpoint_dir=str(tmp_path),
+            ttmc_strategy="per-mode", **GRAM
+        ))
+        state = Checkpointer(tmp_path).load()
+        assert state.options["ttmc_strategy"] == "per-mode"
+        with pytest.raises(ValueError, match="ttmc_strategy"):
+            hooi(t, 4, HOOIOptions(
+                max_iterations=5, checkpoint_dir=str(tmp_path), **GRAM
+            ), resume=state)
+        res = hooi(t, 4, HOOIOptions(
+            max_iterations=5, checkpoint_dir=str(tmp_path),
+            ttmc_strategy="per-mode", **GRAM
         ), resume=state)
         assert res.resumed_sweeps == 2
         assert res.completed_sweeps == 5
@@ -202,7 +232,7 @@ class TestResume:
             ttmc_strategy=None, execution=None, tensor_format=None,
             kernel=None, fallback=None,
         ).validate()
-        assert opts.ttmc_strategy == "per-mode"
+        assert opts.ttmc_strategy == "dimtree"
         assert opts.execution == "sequential"
         assert opts.tensor_format == "coo"
         assert opts.kernel == "numpy"

@@ -2,17 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core import (
     SparseTensor,
     SymbolicTTMc,
     dense_ttm_chain,
+    group_fibers,
     symbolic_ttmc,
     ttmc_contributions,
     ttmc_flops,
     ttmc_matricized,
     unfold,
 )
+from repro.core.symbolic import keyed_lex_order
 from repro.core.ttmc import default_block_size, gather_ranges
 
 
@@ -182,3 +187,75 @@ class TestHelpers:
         b = ttmc_flops(2000, (10, 10, 10), 0)
         assert 0 < a < b
         assert b == 2 * a
+
+
+def _lexsort_grouping(cols):
+    """The multi-key lexsort grouping the keyed sort must reproduce."""
+    m, k = cols.shape
+    perm = np.lexsort(tuple(cols[:, c] for c in range(k - 1, -1, -1)))
+    sorted_cols = cols[perm]
+    boundary = np.ones(m, dtype=bool)
+    boundary[1:] = np.any(sorted_cols[1:] != sorted_cols[:-1], axis=1)
+    starts = np.flatnonzero(boundary)
+    return sorted_cols[boundary], perm, np.append(starts, m)
+
+
+#: Per-column value bounds: spans below and above 2**16, and spans whose
+#: mixed-radix product overflows int64 once two such columns meet.
+_BOUNDS = [1, 3, 40, 300, 1 << 17, 1 << 40, 1 << 62]
+
+
+@st.composite
+def _index_columns(draw):
+    k = draw(st.integers(1, 4))
+    m = draw(st.integers(0, 120))
+    bounds = draw(st.lists(st.sampled_from(_BOUNDS), min_size=k, max_size=k))
+    cols = [
+        draw(hnp.arrays(np.int64, m, elements=st.integers(0, b - 1)))
+        for b in bounds
+    ]
+    return np.column_stack(cols) if m else np.empty((0, k), np.int64)
+
+
+class TestKeyedSort:
+    """group_fibers / symbolic_ttmc equal the lexsort reference exactly."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_index_columns())
+    def test_group_fibers_matches_lexsort(self, cols):
+        got = group_fibers(cols)
+        indices, perm, segptr = _lexsort_grouping(cols)
+        assert np.array_equal(got.perm, perm)
+        assert np.array_equal(got.segptr, segptr)
+        assert np.array_equal(got.indices, indices)
+        assert got.indices.dtype == got.perm.dtype == np.int64
+
+    @settings(max_examples=40, deadline=None)
+    @given(_index_columns())
+    def test_symbolic_ttmc_matches_stable_argsort(self, cols):
+        shape = tuple(int(c.max()) + 1 if c.size else 1 for c in cols.T)
+        tensor = SparseTensor(cols, np.ones(cols.shape[0]), shape)
+        for mode in range(cols.shape[1]):
+            sym = symbolic_ttmc(tensor, mode)
+            indices, perm, rowptr = _lexsort_grouping(cols[:, [mode]])
+            assert np.array_equal(sym.perm, perm)
+            assert np.array_equal(sym.rowptr, rowptr)
+            assert np.array_equal(sym.rows, indices[:, 0])
+
+    def test_narrow_key_and_overflow_fallback(self):
+        rng = np.random.default_rng(0)
+        narrow = rng.integers(0, 200, size=(500, 2))
+        perm, key = keyed_lex_order(narrow)
+        assert key.dtype == np.uint16  # 200 * 200 keys: a radix sort
+        wide = rng.integers(0, 1 << 62, size=(500, 2))
+        perm, key = keyed_lex_order(wide)
+        assert key is None  # 2**124 keys overflow int64: lexsort fallback
+        assert np.array_equal(perm, _lexsort_grouping(wide)[1])
+
+    def test_empty_and_single_column(self):
+        empty = group_fibers(np.empty((0, 3), dtype=np.int64))
+        assert empty.num_groups == 0 and np.array_equal(empty.segptr, [0])
+        single = group_fibers(np.array([[3], [1], [3], [0]]))
+        assert np.array_equal(single.indices[:, 0], [0, 1, 3])
+        assert np.array_equal(single.perm, [3, 1, 0, 2])
+        assert np.array_equal(single.segptr, [0, 1, 2, 4])

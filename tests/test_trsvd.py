@@ -98,6 +98,34 @@ class TestLanczos:
                 atol=1e-6,
             )
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_result_does_not_jump_at_the_tolerance(self, seed):
+        """The solver restarts once more after first meeting ``tol``.
+
+        Stopping at that restart let it decide the result: tolerances 25%
+        apart (or a round-off change to the operand, such as another TTMc
+        association) returned subspaces 0.1–0.6 ``tol`` apart on this
+        spectrum.  With the extra restart the jump is ~1e-4 ``tol``.
+        """
+        gen = np.random.default_rng(seed)
+        u, _ = np.linalg.qr(gen.standard_normal((300, 80)))
+        v, _ = np.linalg.qr(gen.standard_normal((80, 80)))
+        a = (u * 0.95 ** np.arange(80)) @ v.T
+        for tol in np.logspace(-11, -5, 61):
+            lo, hi = (lanczos_svd(a, 8, tol=t).left for t in (tol, 1.25 * tol))
+            assert np.abs(lo @ lo.T - hi @ hi.T).max() <= 1e-2 * tol
+
+    def test_small_operand_is_exact_in_one_pass(self, rng):
+        # At most twice the default subspace columns: the right vectors span
+        # every column, so one pass is exact and no restart runs.
+        a = spectrum_matrix(rng, m=40, n=16)
+        result = lanczos_svd(a, 4)
+        u, s, _ = np.linalg.svd(a, full_matrices=False)
+        assert result.iterations == 1 and result.matvecs == 16
+        assert np.allclose(result.singular_values, s[:4], rtol=1e-13)
+        projector = u[:, :4] @ u[:, :4].T
+        assert np.abs(result.left @ result.left.T - projector).max() < 1e-13
+
     def test_counts_operator_applications(self, rng):
         op = CountingOperator(DenseOperator(spectrum_matrix(rng)))
         result = lanczos_svd(op, 3)
@@ -191,7 +219,54 @@ class TestDispatcher:
 
 
 class TestGramSVD:
-    """The W×W Gram path: eigh(YᵀY) + U = Y V Σ⁻¹ for tall-skinny operands."""
+    """The Gram path: eigh of the short side's Gram matrix + one recovery GEMM.
+
+    ``I_n ≥ W`` eigendecomposes ``YᵀY`` and recovers ``U = Y V Σ⁻¹``;
+    ``I_n < W`` eigendecomposes ``Y Yᵀ`` and recovers ``V = Yᵀ U Σ⁻¹``.
+    """
+
+    @pytest.mark.parametrize(
+        "shape", [(30, 64), (63, 64), (64, 64), (65, 64), (200, 64)]
+    )
+    def test_lanczos_parity_on_both_sides(self, rng, shape):
+        m, n = shape
+        a = spectrum_matrix(rng, m=max(m, n), n=min(m, n))
+        if m < n:
+            a = a.T
+        gram = gram_svd(a, 4)
+        ref = lanczos_svd(a, 4, tol=1e-12, seed=0)
+        assert gram.left.shape == (m, 4) and gram.right.shape == (n, 4)
+        assert np.allclose(
+            gram.singular_values, ref.singular_values, rtol=1e-10, atol=0
+        )
+        for ours, theirs in ((gram.left, ref.left), (gram.right, ref.right)):
+            assert np.abs(ours @ ours.T - theirs @ theirs.T).max() < 1e-10
+            assert np.allclose(ours.T @ ours, np.eye(4), atol=1e-12)
+        # The triplets pair up: U Σ Vᵀ is the same rank-4 truncation.
+        assert np.allclose(
+            (gram.left * gram.singular_values) @ gram.right.T,
+            (ref.left * ref.singular_values) @ ref.right.T,
+            atol=1e-10,
+        )
+
+    def test_wide_operand_without_right_vectors(self, rng):
+        a = spectrum_matrix(rng, m=64, n=20).T
+        res = gram_svd(a, 3, compute_right=False)
+        assert res.right is None
+        u, _, _ = np.linalg.svd(a, full_matrices=False)
+        assert np.allclose(
+            res.left @ res.left.T, u[:, :3] @ u[:, :3].T, atol=1e-10
+        )
+
+    def test_wide_rank_deficient_recovers_orthonormal_right(self, rng):
+        # Rank 2 at I_n < W: the squashed right directions are completed
+        # to an orthonormal basis, as the left ones are on tall operands.
+        a = np.outer(rng.standard_normal(6), rng.standard_normal(60))
+        a += np.outer(rng.standard_normal(6), rng.standard_normal(60))
+        res = gram_svd(a, 4)
+        assert np.allclose(res.left.T @ res.left, np.eye(4), atol=1e-8)
+        assert np.allclose(res.right.T @ res.right, np.eye(4), atol=1e-8)
+        assert res.singular_values[2] < 1e-6 * res.singular_values[0]
 
     def test_matches_dense_svd_on_tall_matrix(self, rng):
         a = spectrum_matrix(rng, m=500, n=12)
